@@ -10,9 +10,9 @@
 //! idle, and the hopping loop skips them wholesale while producing
 //! bit-identical statistics (proven by `tests/step_equivalence.rs`).
 //!
-//! This is the wall-clock complement to `pipeline_bench` (access-path
-//! only, no core in front) and backs the numbers recorded in
-//! `BENCH_coreskip.json`.
+//! perfbench times the access path alone, with no core in front
+//! (`hierarchy.ns_per_access` and `observers.*.ns_per_access`); this
+//! binary backs the numbers recorded in `BENCH_coreskip.json`.
 //!
 //! ```text
 //! cargo run --release -p tk-bench --bin core_bench [-- [--quick] [--instructions N] [--json]
@@ -224,8 +224,8 @@ fn main() {
     }
 
     if emit_json {
-        // Hand-rendered so the recorded file keeps the same shape as
-        // BENCH_pipeline.json (floats, grouped before/after sections).
+        // Hand-rendered so the recorded file keeps its shape (floats,
+        // grouped before/after sections).
         type Row = (&'static str, Timing, Timing, f64);
         let field = |f: &dyn Fn(&Row) -> f64| {
             rows.iter()

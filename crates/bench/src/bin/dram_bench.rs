@@ -120,7 +120,7 @@ fn main() {
 
     if emit_json {
         // Hand-rendered so the recorded file keeps the same shape as
-        // BENCH_coreskip.json / BENCH_pipeline.json.
+        // BENCH_coreskip.json.
         let section = |f: &dyn Fn(&Row) -> String| {
             measured
                 .iter()

@@ -274,7 +274,6 @@ fn figure_bands(opts: &FigureOpts) -> Vec<Json> {
         // Capture the figure's distinct jobs by running it with the
         // engine's job log on (memoized: repeat figures cost nothing).
         engine::record_jobs(true);
-        let _ = engine::take_recorded_jobs();
         let _ = generate(*opts);
         let jobs = engine::take_recorded_jobs();
         engine::record_jobs(false);

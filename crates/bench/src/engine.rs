@@ -30,6 +30,7 @@
 //!   the checkpoint's fixed order, so the schedule cannot affect the
 //!   output: a sharded run is bit-identical to `Job::simulate`.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -110,7 +111,6 @@ pub(crate) fn fnv1a64(data: &str) -> u64 {
 struct Engine {
     memo: Mutex<HashMap<Job, Arc<RunResult>>>,
     disk_dir: Mutex<Option<PathBuf>>,
-    recorded: Mutex<Option<Vec<Job>>>,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
     sims_run: AtomicU64,
@@ -121,7 +121,6 @@ fn engine() -> &'static Engine {
     ENGINE.get_or_init(|| Engine {
         memo: Mutex::new(HashMap::new()),
         disk_dir: Mutex::new(None),
-        recorded: Mutex::new(None),
         memo_hits: AtomicU64::new(0),
         disk_hits: AtomicU64::new(0),
         sims_run: AtomicU64::new(0),
@@ -142,23 +141,27 @@ pub fn disk_cache_dir() -> Option<PathBuf> {
     engine().disk_dir.lock().expect("cache poisoned").clone()
 }
 
-/// Turns the job log on or off. While on, every *distinct* job submitted
-/// to [`run_jobs`] is appended (in submission order, including memo and
-/// disk hits) so a caller can discover exactly which simulations back a
-/// figure — the golden-figure harness uses this to build its digests.
-pub fn record_jobs(enable: bool) {
-    let mut rec = engine().recorded.lock().expect("record poisoned");
-    *rec = if enable { Some(Vec::new()) } else { None };
+thread_local! {
+    /// The calling thread's job log (`None` while off). Each thread that
+    /// submits to [`run_jobs`] owns its own log, so concurrent callers —
+    /// two figures, two tests — never see each other's jobs.
+    static RECORDED: RefCell<Option<Vec<Job>>> = const { RefCell::new(None) };
 }
 
-/// Drains the job log accumulated since [`record_jobs`]`(true)` (or the
-/// previous drain), leaving recording on. Empty when recording is off.
+/// Turns the calling thread's job log on or off. While on, every
+/// *distinct* job this thread submits to [`run_jobs`] is appended (in
+/// submission order, including memo and disk hits) so a caller can
+/// discover exactly which simulations back a figure — the golden-figure
+/// harness uses this to build its digests.
+pub fn record_jobs(enable: bool) {
+    RECORDED.with_borrow_mut(|rec| *rec = enable.then(Vec::new));
+}
+
+/// Drains the calling thread's job log accumulated since
+/// [`record_jobs`]`(true)` (or the previous drain), leaving recording on.
+/// Empty when recording is off.
 pub fn take_recorded_jobs() -> Vec<Job> {
-    let mut rec = engine().recorded.lock().expect("record poisoned");
-    match rec.as_mut() {
-        Some(v) => std::mem::take(v),
-        None => Vec::new(),
-    }
+    RECORDED.with_borrow_mut(|rec| rec.as_mut().map(std::mem::take).unwrap_or_default())
 }
 
 /// Engine counters since process start (or the last [`reset_stats`]):
@@ -231,13 +234,16 @@ fn disk_store(dir: &Path, key: &str, result: &RunResult) {
 pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
     let e = engine();
     let disk_dir = e.disk_dir.lock().expect("cache poisoned").clone();
-    if let Some(rec) = e.recorded.lock().expect("record poisoned").as_mut() {
-        for job in jobs {
-            if !rec.contains(job) {
-                rec.push(*job);
+    // Logged on the submitting thread, before the batch fans out.
+    RECORDED.with_borrow_mut(|rec| {
+        if let Some(rec) = rec.as_mut() {
+            for job in jobs {
+                if !rec.contains(job) {
+                    rec.push(*job);
+                }
             }
         }
-    }
+    });
 
     // Resolve what we can from the memo and disk; collect the distinct
     // tuples that actually need simulating.
@@ -518,5 +524,38 @@ mod tests {
         .unwrap();
         assert_eq!(disk_load(&dir, "other-key"), None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn job_log_is_per_thread() {
+        // Both threads turn their logs on, submit at the same time, and
+        // drain together: each must see exactly its own job.
+        let budget = 2_000;
+        let mine = [
+            Job::new(SpecBenchmark::Gzip, SystemConfig::base(), 11, budget),
+            Job::new(SpecBenchmark::Mcf, SystemConfig::base(), 12, budget),
+        ];
+        let barrier = std::sync::Barrier::new(mine.len());
+        let logs: Vec<Vec<Job>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = mine
+                .iter()
+                .map(|job| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        record_jobs(true);
+                        barrier.wait();
+                        run_jobs(&[*job], 1);
+                        barrier.wait();
+                        let log = take_recorded_jobs();
+                        record_jobs(false);
+                        log
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (job, log) in mine.iter().zip(&logs) {
+            assert_eq!(log, &vec![*job], "a thread's log holds only its own jobs");
+        }
     }
 }

@@ -72,8 +72,7 @@ pub fn table1() -> String {
         "L2/memory bus".to_owned(),
         format!("{}-cycle occupancy per block", m.l2mem_bus_occupancy),
     ]);
-    // Table 1 reports the Fixed backend's latency alias.
-    #[allow(deprecated)]
+    // Table 1 reports the Fixed backend's latency.
     let mem_latency = m.mem_latency;
     t.row(vec![
         "memory latency".to_owned(),

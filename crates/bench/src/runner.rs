@@ -13,8 +13,7 @@
 //! backward compatibility with the original positional interface.
 //! Unrecognized arguments are an error (exit code 2), not silently
 //! ignored. Binaries with their own positional operands (`report`'s
-//! output directory, `quickcheck`'s benchmark names) use
-//! [`FigureOpts::from_args_with_positionals`].
+//! output directory) use [`FigureOpts::from_args_with_positionals`].
 //!
 //! The run helpers ([`run_bench`], [`run_suite`], [`suite_metrics`]) sit
 //! on the [`engine`]: results are memoized per job tuple

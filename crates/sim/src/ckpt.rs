@@ -722,13 +722,10 @@ mod tests {
         });
         let base = job_fingerprint(7, "wl", &cfg, 100_000).expect("eligible");
 
-        // Timing-only knobs share the fingerprint (the deprecated
-        // field is still the Fixed backend's latency source).
+        // Timing-only knobs share the fingerprint (the field is the
+        // Fixed backend's latency source).
         let mut timing = cfg;
-        #[allow(deprecated)]
-        {
-            timing.machine.mem_latency = 999;
-        }
+        timing.machine.mem_latency = 999;
         timing.machine.l2_latency = 40;
         timing.machine.l1l2_bus_occupancy = 9;
         assert_eq!(

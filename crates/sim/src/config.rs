@@ -52,19 +52,11 @@ pub struct MachineConfig {
     pub l2_latency: u64,
     /// Main-memory access latency in cycles (70).
     ///
-    /// Deprecated alias: this constant is consumed only by the
-    /// [`MemBackendConfig::Fixed`] backend (the default).
-    /// Banked-DRAM runs derive latency from
+    /// The [`MemBackendConfig::Fixed`] backend (the default) is the only
+    /// consumer of this constant. Banked-DRAM runs derive latency from
     /// `SystemConfig::memory` instead and ignore this field (except in
     /// the nominal prefetch-gate limits, which stay backend-independent
     /// by design).
-    #[deprecated(
-        since = "0.6.0",
-        note = "configure memory latency through `MemBackendConfig::Fixed` \
-                (SystemConfig::builder().memory(..)); this field survives \
-                only as the Fixed backend's latency source so existing \
-                cache keys stay byte-identical"
-    )]
     pub mem_latency: u64,
     /// L1/L2 bus occupancy per block transfer, in core cycles.
     /// 32-byte-wide at the 2 GHz core clock moving a 32 B L1 block: 1.
@@ -87,7 +79,6 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// The Table 1 configuration.
-    #[allow(deprecated)] // seeds the Fixed-backend latency alias
     pub fn paper_default() -> Self {
         MachineConfig {
             issue_width: 8,
@@ -258,7 +249,7 @@ pub struct SystemConfig {
     /// `None` (the default) simulates every instruction.
     pub sample: Option<SampleConfig>,
     /// Main-memory backend. The default, [`MemBackendConfig::Fixed`],
-    /// reads the deprecated `machine.mem_latency` alias and reproduces
+    /// reads its latency from `machine.mem_latency` and reproduces
     /// the paper's constant-latency memory bit-exactly;
     /// [`MemBackendConfig::Banked`] swaps in the banked DRAM model.
     pub memory: MemBackendConfig,
@@ -624,7 +615,6 @@ impl SystemConfig {
     /// which makes this the natural experiment-cache key; it is also
     /// stable across processes (unlike `std::hash::Hash`, whose output
     /// `HashMap` randomizes per process).
-    #[allow(deprecated)] // the machine fragment pins the Fixed-latency alias
     pub fn cache_key(&self) -> String {
         let m = &self.machine;
         let mut key = format!(
@@ -730,7 +720,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(deprecated)] // pins the Fixed-latency alias field
     fn paper_defaults_match_table1() {
         let m = MachineConfig::paper_default();
         assert_eq!(m.issue_width, 8);
@@ -959,12 +948,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the alias-to-backend equivalence
-    fn deprecated_mem_latency_alias_keeps_cache_keys_identical() {
-        // The deprecated `MachineConfig::mem_latency` alias is still the
-        // Fixed backend's latency source: the base key pins it in the
-        // machine fragment, and writing through the alias is observable
-        // in the key exactly as it was before the deprecation.
+    fn fixed_backend_latency_is_pinned_in_cache_keys() {
+        // `MachineConfig::mem_latency` is the Fixed backend's latency
+        // source: the base key pins it in the machine fragment, and
+        // changing it is observable in the key.
         let base = SystemConfig::base();
         assert!(
             base.cache_key().contains("lat=1/12/70,"),

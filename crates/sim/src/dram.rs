@@ -46,8 +46,7 @@ const BLOCK_BYTES: u64 = 64;
 
 /// Which memory model backs `MemorySystem`, and its parameters.
 ///
-/// `Fixed` keeps reading the deprecated `MachineConfig::mem_latency`
-/// alias, so existing callers (and golden digests) are untouched;
+/// `Fixed` reads its latency from `MachineConfig::mem_latency`;
 /// `Banked` carries a full [`BankedDramConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemBackendConfig {
@@ -504,8 +503,8 @@ impl MemBackend for BankedDram {
 }
 
 /// Builds the backend a validated `SystemConfig` asks for.
-/// `mem_latency` is the deprecated fixed-latency alias from
-/// `MachineConfig`.
+/// `mem_latency` is `MachineConfig::mem_latency`, the `Fixed` backend's
+/// latency.
 pub fn build_backend(cfg: MemBackendConfig, mem_latency: u64) -> Box<dyn MemBackend> {
     match cfg {
         MemBackendConfig::Fixed => Box::new(FixedLatency::new(mem_latency)),

@@ -285,7 +285,6 @@ impl MemorySystem {
             prefetch_mshrs: MshrFile::new(m.prefetch_mshrs),
             l1l2_bus: Bus::new(m.l1l2_bus_occupancy),
             l2mem_bus: Bus::new(m.l2mem_bus_occupancy),
-            #[allow(deprecated)] // Fixed-latency alias feeds the default backend
             backend: crate::dram::build_backend(cfg.memory, m.mem_latency),
             pf_queue: PrefetchQueue::new(m.prefetch_queue),
             inflight_pf: BinaryHeap::new(),
@@ -616,7 +615,6 @@ mod tests {
     /// Helper computing the expected cold-miss latency from the config.
     struct MachineLatencyProbe;
     impl MachineLatencyProbe {
-        #[allow(deprecated)] // the Fixed backend reads the latency alias
         fn expected_cold(m: &crate::config::MachineConfig) -> u64 {
             // L2 probe (12) + mem latency (70) + l2mem bus (5) + l1l2 bus (1)
             m.l2_latency + m.mem_latency + m.l2mem_bus_occupancy + m.l1l2_bus_occupancy

@@ -758,7 +758,6 @@ impl MultiCoreSystem {
             // transactions occupy it for one block transfer each.
             snoop_bus: SnoopBus::new(m.l1l2_bus_occupancy),
             l2mem_bus: Bus::new(m.l2mem_bus_occupancy),
-            #[allow(deprecated)] // Fixed-latency alias feeds the default backend
             backend: crate::dram::build_backend(cfg.memory, m.mem_latency),
             coh: CoherenceStats::default(),
             trace: obs::trace_from_global(m.l1d),

@@ -663,7 +663,6 @@ pub(crate) struct PendingPf {
 /// gates themselves and the event computation that predicts when they
 /// open ([`MemorySystem::next_event`]) — one source of truth, so the two
 /// cannot drift.
-#[allow(deprecated)] // nominal gate limits stay backend-independent by design
 fn pf_gate_limits(m: &MachineConfig) -> (u64, u64, u64) {
     (
         // L1/L2 bus: one L2 round-trip of backlog is tolerated.

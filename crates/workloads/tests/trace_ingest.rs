@@ -1,8 +1,7 @@
 //! Hand-rolled property tests for the external-trace parser.
 //!
-//! The offline container has no `proptest`, so these use the workspace's
-//! own deterministic [`Rng`] to drive two properties over thousands of
-//! generated inputs:
+//! These use the workspace's own deterministic [`Rng`] to drive two
+//! properties over thousands of generated inputs:
 //!
 //! 1. **Totality** — `TraceFileWorkload::from_reader` never panics, for
 //!    arbitrary byte soup (including invalid UTF-8) and for adversarial
