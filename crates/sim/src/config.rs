@@ -267,9 +267,10 @@ pub struct SystemConfig {
     /// ([`crate::multicore`]): generations can then end by coherence
     /// invalidation ([`timekeeping::EvictCause::Invalidate`]) as well as
     /// by eviction. Multi-core runs support every victim-cache mode and
-    /// `predict_only` prefetcher scoring; decay, slack scheduling, the
-    /// cold-miss oracle, and *issuing* prefetchers are rejected at
-    /// `build()` because their timing machinery is single-core.
+    /// `predict_only` timekeeping-prefetcher scoring; decay, slack
+    /// scheduling, the cold-miss oracle, *issuing* prefetchers and the
+    /// other predictor families are rejected at `build()` because their
+    /// machinery is single-core.
     pub cores: u32,
 }
 
@@ -316,6 +317,10 @@ pub enum ConfigError {
     /// multi-core runs must add `predict_only`, which still scores the
     /// predictor's intrinsic coverage/accuracy under coherence traffic.
     MultiCoreIssuingPrefetcher,
+    /// `cores > 1` with `predict_only` on a DBCP, Markov or stride
+    /// prefetcher. The multi-core hierarchy scores only the timekeeping
+    /// predictor, so such a run would report no predictions at all.
+    MultiCoreUnscoredPredictor,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -347,6 +352,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::MultiCoreIssuingPrefetcher => {
                 "cores > 1 with a prefetcher requires predict_only (prefetch \
                  issue timing is single-core machinery)"
+            }
+            ConfigError::MultiCoreUnscoredPredictor => {
+                "cores > 1 scores only the timekeeping predictor (predict_only with \
+                 DBCP, Markov or stride would report no predictions)"
             }
             ConfigError::InvalidDram(_) => unreachable!("delegated to DramConfigError above"),
         };
@@ -529,6 +538,12 @@ impl SystemConfigBuilder {
             }
             if cfg.prefetch != PrefetchMode::None && !cfg.predict_only {
                 return Err(ConfigError::MultiCoreIssuingPrefetcher);
+            }
+            if !matches!(
+                cfg.prefetch,
+                PrefetchMode::None | PrefetchMode::Timekeeping(_)
+            ) {
+                return Err(ConfigError::MultiCoreUnscoredPredictor);
             }
         }
         Ok(cfg)
@@ -939,6 +954,24 @@ mod tests {
             .predict_only()
             .build()
             .is_ok());
+        // Predict-only scoring covers the timekeeping predictor only: the
+        // other families would silently score nothing.
+        for other in [
+            PrefetchMode::Dbcp(timekeeping::DbcpConfig::PAPER_2MB),
+            PrefetchMode::Markov(timekeeping::MarkovConfig::default()),
+            PrefetchMode::Stride(timekeeping::StrideConfig::default()),
+        ] {
+            assert_eq!(
+                SystemConfig::builder()
+                    .cores(2)
+                    .prefetch(other)
+                    .predict_only()
+                    .build()
+                    .unwrap_err(),
+                ConfigError::MultiCoreUnscoredPredictor,
+                "{other:?}"
+            );
+        }
         // Every victim mode is supported at N cores.
         assert!(SystemConfig::builder()
             .cores(4)

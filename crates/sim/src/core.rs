@@ -8,13 +8,18 @@
 //! time, which embeds cache, bus and MSHR contention), and retire in
 //! order (up to `commit_width` per cycle). Memory-level parallelism
 //! emerges naturally: independent misses overlap until the window fills.
+//!
+//! One loop drives 1..N cores: a single-core run is N=1 over a
+//! [`MemorySystem`], a multi-core run is N cores over the coherent
+//! [`MultiCoreSystem`](crate::multicore::MultiCoreSystem). Both sit
+//! behind the crate-private `CorePort` trait.
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::Cycle;
 
 use crate::config::SystemConfig;
 use crate::hierarchy::MemorySystem;
-use crate::trace::{Instr, Workload};
+use crate::trace::{Instr, MemRef, Workload};
 
 /// Execution statistics of one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,8 +74,45 @@ impl Snapshot for CoreStats {
     }
 }
 
-/// The core model. Owns nothing but its window; drive it with
-/// [`run`](OooCore::run).
+/// The memory side of the core loop: one hierarchy shared by every core
+/// the loop drives, addressed by core index. [`MemorySystem`] is the
+/// one-core port; [`crate::multicore::MultiCoreSystem`] the N-core one.
+pub(crate) trait CorePort {
+    /// The configuration the port was built from (the loop reads
+    /// `ignore_sw_prefetch` and `step_every_cycle`).
+    fn config(&self) -> &SystemConfig;
+    /// Replays the port's own scheduled events up to `now`.
+    fn advance(&mut self, now: Cycle);
+    /// One memory access by `core` at `now`; returns the data-ready cycle.
+    fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle;
+    /// The port's earliest self-scheduled event after `now`, if any.
+    fn next_event(&self, now: Cycle) -> Option<Cycle>;
+    /// Closes the run at `now`.
+    fn finish(&mut self, now: Cycle);
+}
+
+impl CorePort for MemorySystem {
+    fn config(&self) -> &SystemConfig {
+        MemorySystem::config(self)
+    }
+    fn advance(&mut self, now: Cycle) {
+        MemorySystem::advance(self, now)
+    }
+    #[inline]
+    fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
+        debug_assert_eq!(core, 0, "the single-core hierarchy serves core 0 only");
+        MemorySystem::access(self, mref, is_store, now).ready_at
+    }
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        MemorySystem::next_event(self, now)
+    }
+    fn finish(&mut self, now: Cycle) {
+        MemorySystem::finish(self, now)
+    }
+}
+
+/// The core model: one out-of-order window and its run state. Drive it
+/// with [`run`](OooCore::run).
 #[derive(Debug)]
 pub struct OooCore {
     issue_width: usize,
@@ -80,6 +122,13 @@ pub struct OooCore {
     window: std::collections::VecDeque<Cycle>,
     /// A fetched chained load waiting for its address to become available.
     stalled: Option<Instr>,
+    /// Completion time of the most recent chained load: the next chained
+    /// load's address is not known before this.
+    chain_ready: Cycle,
+    fetched: u64,
+    /// Whether this core has retired its whole budget.
+    done: bool,
+    stats: CoreStats,
 }
 
 impl OooCore {
@@ -92,6 +141,10 @@ impl OooCore {
             commit_width: m.commit_width as usize,
             window: std::collections::VecDeque::with_capacity(m.window_size as usize),
             stalled: None,
+            chain_ready: Cycle::ZERO,
+            fetched: 0,
+            done: false,
+            stats: CoreStats::default(),
         }
     }
 
@@ -104,147 +157,193 @@ impl OooCore {
         mem: &mut MemorySystem,
         max_instructions: u64,
     ) -> CoreStats {
-        let mut stats = CoreStats::default();
-        let ignore_swpf = mem.config().ignore_sw_prefetch;
-        let step_every_cycle = mem.config().step_every_cycle;
-        let mut cycle = Cycle::ZERO;
-        let mut fetched: u64 = 0;
-        // Completion time of the most recent chained load: the next
-        // chained load's address is not known before this.
-        let mut chain_ready = Cycle::ZERO;
-        loop {
-            mem.advance(cycle);
+        drive(
+            std::slice::from_mut(self),
+            mem,
+            |_| workload.next_instr(),
+            max_instructions,
+        );
+        self.stats
+    }
 
+    /// This core's statistics of the last [`drive`].
+    pub(crate) fn stats(&self) -> &CoreStats {
+        &self.stats
+    }
+
+    /// The cycle this core's next instruction can issue or retire at, or
+    /// `None` if it can issue in the very next cycle.
+    fn wake_if_blocked(&self, max_instructions: u64) -> Option<Cycle> {
+        let blocked = self.fetched >= max_instructions
+            || self.window.len() >= self.window_size
+            || self.stalled.is_some();
+        if !blocked {
+            return None;
+        }
+        let mut wake = self.window.front().copied().unwrap_or(Cycle::new(u64::MAX));
+        if self.stalled.is_some() {
+            wake = wake.min(self.chain_ready);
+        }
+        Some(wake)
+    }
+}
+
+/// The core loop: runs `max_instructions` instructions on every core of
+/// `cores`, feeding core `c` from `next_instr(c)`, against one shared
+/// `port`. Within a cycle cores are serviced in index order, which fixes
+/// the order of their memory accesses. Each core's statistics end up in
+/// the core ([`OooCore::stats`]); a core's `cycles` is the cycle it
+/// retired its last instruction.
+pub(crate) fn drive<P: CorePort + ?Sized>(
+    cores: &mut [OooCore],
+    port: &mut P,
+    mut next_instr: impl FnMut(usize) -> Instr,
+    max_instructions: u64,
+) {
+    let ignore_swpf = port.config().ignore_sw_prefetch;
+    let step_every_cycle = port.config().step_every_cycle;
+    for core in cores.iter_mut() {
+        core.window.clear();
+        core.stalled = None;
+        core.chain_ready = Cycle::ZERO;
+        core.fetched = 0;
+        core.done = false;
+        core.stats = CoreStats::default();
+    }
+    let mut cycle = Cycle::ZERO;
+    loop {
+        port.advance(cycle);
+        let mut all_done = true;
+        for (c, core) in cores.iter_mut().enumerate() {
+            if core.done {
+                continue;
+            }
             // Retire in order.
             let mut retired = 0;
-            while retired < self.commit_width {
-                match self.window.front() {
+            while retired < core.commit_width {
+                match core.window.front() {
                     Some(&ready) if ready <= cycle => {
-                        self.window.pop_front();
-                        stats.instructions += 1;
+                        core.window.pop_front();
+                        core.stats.instructions += 1;
                         retired += 1;
                     }
                     _ => break,
                 }
             }
-            if stats.instructions >= max_instructions && self.window.is_empty() {
-                break;
+            if core.stats.instructions >= max_instructions && core.window.is_empty() {
+                core.done = true;
+                core.stats.cycles = cycle.get();
+                continue;
             }
+            all_done = false;
 
             // Issue in order while the window has room.
             let mut issued = 0;
             let mut window_was_full = false;
-            while issued < self.issue_width && fetched < max_instructions {
-                if self.window.len() >= self.window_size {
+            while issued < core.issue_width && core.fetched < max_instructions {
+                if core.window.len() >= core.window_size {
                     window_was_full = true;
                     break;
                 }
-                let instr = match self.stalled.take() {
+                let instr = match core.stalled.take() {
                     Some(i) => i,
-                    None => workload.next_instr(),
+                    None => next_instr(c),
                 };
                 // A chained load cannot access the cache before the
                 // previous chained load has produced its address; issue
                 // stalls until then.
                 if let Instr::ChainedLoad(_) = instr {
-                    if chain_ready > cycle {
-                        self.stalled = Some(instr);
+                    if core.chain_ready > cycle {
+                        core.stalled = Some(instr);
                         break;
                     }
                 }
                 let ready = match instr {
                     Instr::Op => cycle + 1,
                     Instr::Load(m) => {
-                        stats.loads += 1;
-                        mem.access(&m, false, cycle).ready_at
+                        core.stats.loads += 1;
+                        port.access(c, &m, false, cycle)
                     }
                     Instr::ChainedLoad(m) => {
-                        stats.loads += 1;
-                        let ready = mem.access(&m, false, cycle).ready_at;
-                        chain_ready = ready;
+                        core.stats.loads += 1;
+                        let ready = port.access(c, &m, false, cycle);
+                        core.chain_ready = ready;
                         ready
                     }
                     Instr::Store(m) => {
-                        stats.stores += 1;
+                        core.stats.stores += 1;
                         // Stores retire through the write buffer: the cache
                         // is updated but the core does not wait for data.
-                        mem.access(&m, true, cycle);
+                        port.access(c, &m, true, cycle);
                         cycle + 1
                     }
                     Instr::SwPrefetch(m) => {
                         if ignore_swpf {
                             cycle + 1
                         } else {
-                            stats.sw_prefetches += 1;
+                            core.stats.sw_prefetches += 1;
                             // Treated as a normal memory reference (§2.2)
                             // that does not block retirement.
-                            mem.access(&m, false, cycle);
+                            port.access(c, &m, false, cycle);
                             cycle + 1
                         }
                     }
                 };
-                self.window.push_back(ready);
-                fetched += 1;
+                core.window.push_back(ready);
+                core.fetched += 1;
                 issued += 1;
             }
             if window_was_full {
-                stats.window_full_cycles += 1;
+                core.stats.window_full_cycles += 1;
             }
+        }
+        if all_done {
+            break;
+        }
 
-            // Event-driven clock hopping: when the next cycle can neither
-            // retire (window head not ready) nor issue (window full, no
-            // more instructions to fetch, or a stalled chained load whose
-            // address is not ready), every cycle up to the earliest wake-up
-            // source is provably a no-op — the window's completion times
-            // are fixed at issue, and the memory system replays its own
-            // events inside `advance`. Hop straight there, bulk-accounting
-            // the skipped span. `step_every_cycle` keeps the original
-            // per-cycle reference loop for differential testing.
-            let mut next = cycle + 1;
-            if !step_every_cycle {
-                let blocked = fetched >= max_instructions
-                    || self.window.len() >= self.window_size
-                    || self.stalled.is_some();
-                if blocked {
-                    // The earliest cycle at which anything can happen:
-                    // in-order retirement of the window head, a stalled
-                    // chained load's address becoming available, or the
-                    // memory system's next self-scheduled event.
-                    let mut wake = Cycle::new(u64::MAX);
-                    if let Some(&front) = self.window.front() {
-                        wake = front;
-                    }
-                    if self.stalled.is_some() && chain_ready < wake {
-                        wake = chain_ready;
-                    }
-                    if let Some(e) = mem.next_event(cycle) {
-                        if e < wake {
-                            wake = e;
+        // Event-driven clock hopping: when no live core can issue or
+        // retire in the next cycle (window head not ready, window full,
+        // nothing left to fetch, or a stalled chained load whose address
+        // is not ready), every cycle up to the earliest wake-up source is
+        // provably a no-op — the windows' completion times are fixed at
+        // issue, and the port replays its own events inside `advance`.
+        // Hop straight there, bulk-accounting the skipped span.
+        // `step_every_cycle` keeps the per-cycle reference loop for
+        // differential testing.
+        let mut next = cycle + 1;
+        if !step_every_cycle {
+            let blocked_until = cores
+                .iter()
+                .filter(|c| !c.done)
+                .try_fold(Cycle::new(u64::MAX), |wake, core| {
+                    core.wake_if_blocked(max_instructions).map(|w| wake.min(w))
+                });
+            if let Some(mut wake) = blocked_until {
+                if let Some(e) = port.next_event(cycle) {
+                    wake = wake.min(e);
+                }
+                if wake > next {
+                    // Every skipped cycle would have counted as a
+                    // window-full stall iff the issue loop ran and hit a
+                    // full window — exactly this condition.
+                    for core in cores.iter_mut().filter(|c| !c.done) {
+                        if core.window.len() >= core.window_size && core.fetched < max_instructions
+                        {
+                            core.stats.window_full_cycles += wake.get() - next.get();
                         }
                     }
-                    if wake > next {
-                        // Every skipped cycle would have counted as a
-                        // window-full stall iff the issue loop ran and hit
-                        // a full window — exactly this condition.
-                        if self.window.len() >= self.window_size && fetched < max_instructions {
-                            stats.window_full_cycles += wake.get() - next.get();
-                        }
-                        next = wake;
-                    }
+                    next = wake;
                 }
             }
-            cycle = next;
-            stats.cycles = cycle.get();
         }
-        mem.finish(cycle);
-        stats
+        cycle = next;
     }
+    port.finish(cycle);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::MemRef;
     use timekeeping::{Addr, Pc};
 
     /// All-ALU workload: IPC should approach the issue width.

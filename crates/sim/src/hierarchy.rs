@@ -19,16 +19,13 @@ use std::collections::BinaryHeap;
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
-    AdaptiveDeadTimeFilter, CollinsFilter, DeadTimeFilter, NoFilter, ReloadIntervalFilter,
-};
-use timekeeping::{
     Cycle, Dbcp, FullyAssocShadow, GenerationTracker, GlobalTicker, LineSet, MetricsCollector,
-    MissBreakdown, PrefetchQueue, TimekeepingPrefetcher, TimelinessStats, VictimCache,
+    MissBreakdown, PrefetchQueue, TimekeepingPrefetcher, TimelinessStats,
 };
 
 use crate::bus::Bus;
 use crate::cache::SetAssocCache;
-use crate::config::{PrefetchMode, SystemConfig, VictimMode};
+use crate::config::{PrefetchMode, SystemConfig};
 use crate::dram::{DramStats, MemBackend};
 use crate::mshr::MshrFile;
 use crate::obs::{
@@ -216,34 +213,7 @@ impl MemorySystem {
         let num_sets = m.l1d.num_sets() as usize;
         let collect = cfg.collect_metrics;
         let ticker = GlobalTicker::new(m.tick_period);
-        let victim = match cfg.victim {
-            VictimMode::None => None,
-            VictimMode::Unfiltered => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(NoFilter),
-                swap_fills: 0,
-            }),
-            VictimMode::Collins => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(CollinsFilter::new(num_sets)),
-                swap_fills: 0,
-            }),
-            VictimMode::DeadTime { threshold } => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(DeadTimeFilter::new(threshold, ticker)),
-                swap_fills: 0,
-            }),
-            VictimMode::AdaptiveDeadTime => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(AdaptiveDeadTimeFilter::new(ticker, m.victim_entries)),
-                swap_fills: 0,
-            }),
-            VictimMode::ReloadInterval { threshold } => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(ReloadIntervalFilter::new(threshold)),
-                swap_fills: 0,
-            }),
-        };
+        let victim = VictimUnit::new(&cfg, ticker);
         let prefetcher = match cfg.prefetch {
             PrefetchMode::None => PrefetcherImpl::None,
             PrefetchMode::Timekeeping(tcfg) => {
@@ -582,6 +552,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VictimMode;
     use timekeeping::{Addr, CorrelationConfig, Pc};
 
     fn mref(addr: u64) -> MemRef {

@@ -24,41 +24,41 @@
 //! live/dead time along that axis, which is what the `mesi_compare`
 //! report plots.
 //!
-//! Determinism and clock hopping: cores are serviced in (cycle,
-//! core-index) order by the driver loop in [`MultiCoreSystem::run`], so
-//! the global bus-transaction order is a pure function of the workload.
-//! The hierarchy schedules no background events (multi-core runs reject
-//! issuing prefetchers and decay at `build()`, and predict-only ticks
-//! are synchronized lazily at access time), so the event-driven clock
-//! hop is provably equivalent to per-cycle stepping — the
-//! `step_equivalence` suite checks bit-identity over multiprogrammed
-//! mixes.
+//! Determinism and clock hopping: [`MultiCoreSystem::run`] hands the N
+//! cores to the one core loop of [`crate::core`] (a single-core run is
+//! the same loop at N=1), which services them in (cycle, core-index)
+//! order, so the global bus-transaction order is a pure function of the
+//! workload. The hierarchy schedules no background events (multi-core
+//! runs reject issuing prefetchers and decay at `build()`, and
+//! predict-only ticks are synchronized lazily at access time), so the
+//! event-driven clock hop is provably equivalent to per-cycle stepping
+//! — the `step_equivalence` suite checks bit-identity over
+//! multiprogrammed mixes.
 //!
-//! Predict-only scoring note: at `cores > 1` only the timekeeping
-//! prefetcher's predictor is scored; other predictor families
-//! (`Dbcp`/`Markov`/`Stride`) pass validation with `predict_only` but
-//! record no address predictions here.
+//! [`CoherentChecker`] verifies the hierarchy against a timing-free
+//! mirror built from the same tag model as the single-core
+//! [`FunctionalOracle`](crate::oracle::FunctionalOracle).
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
-    AdaptiveDeadTimeFilter, Addr, CacheGeometry, CollinsFilter, Cycle, DeadTimeFilter, EvictCause,
-    EvictionInfo, FullyAssocShadow, GenerationRecord, GenerationTracker, GlobalTicker, LineAddr,
-    LineMap, LineSet, MetricsCollector, MissBreakdown, MissKind, NoFilter, PrefetchRequest,
-    ReloadIntervalFilter, TimekeepingPrefetcher, VictimCache, VictimStats,
+    Addr, CacheGeometry, CorrelationStats, Cycle, EvictCause, EvictionInfo, FullyAssocShadow,
+    GenerationRecord, GenerationTracker, GlobalTicker, LineAddr, LineMap, LineSet,
+    MetricsCollector, MissBreakdown, MissKind, PrefetchRequest, TimekeepingPrefetcher, VictimStats,
 };
 
 use crate::bus::{Bus, SnoopBus};
 use crate::cache::{ProbeResult, SetAssocCache};
 use crate::config::{PrefetchMode, SystemConfig, VictimMode};
-use crate::core::CoreStats;
+use crate::core::{CorePort, CoreStats, OooCore};
 use crate::dram::MemBackend;
 use crate::hierarchy::HierarchyStats;
 use crate::obs::{self, TraceObserver};
+use crate::oracle::{ShadowTags, ShadowVictim};
 use crate::pipeline::{
     C2cEvent, CoherenceKind, InvalidateEvent, MemObserver, Reactions, SnoopEvent, VictimUnit,
 };
-use crate::system::RunResult;
-use crate::trace::{Instr, Workload};
+use crate::system::{RunResult, WeightedSum};
+use crate::trace::{MemRef, Workload};
 
 // ------------------------------------------------------------------- MESI
 
@@ -246,35 +246,6 @@ impl CorePlane {
     fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
         let m = &cfg.machine;
         let num_frames = m.l1d.num_frames() as usize;
-        let num_sets = m.l1d.num_sets() as usize;
-        let victim = match cfg.victim {
-            VictimMode::None => None,
-            VictimMode::Unfiltered => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(NoFilter),
-                swap_fills: 0,
-            }),
-            VictimMode::Collins => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(CollinsFilter::new(num_sets)),
-                swap_fills: 0,
-            }),
-            VictimMode::DeadTime { threshold } => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(DeadTimeFilter::new(threshold, ticker)),
-                swap_fills: 0,
-            }),
-            VictimMode::AdaptiveDeadTime => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(AdaptiveDeadTimeFilter::new(ticker, m.victim_entries)),
-                swap_fills: 0,
-            }),
-            VictimMode::ReloadInterval { threshold } => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(ReloadIntervalFilter::new(threshold)),
-                swap_fills: 0,
-            }),
-        };
         let tk = match cfg.prefetch {
             PrefetchMode::Timekeeping(tcfg) => Some(TkPlane {
                 pred: TimekeepingPrefetcher::new(m.l1d, tcfg, ticker),
@@ -290,7 +261,7 @@ impl CorePlane {
             gens: GenerationTracker::new(num_frames),
             shadow: FullyAssocShadow::new(num_frames),
             metrics: MetricsCollector::new(),
-            victim,
+            victim: VictimUnit::new(cfg, ticker),
             tk,
             pending: LineMap::default(),
             inval_lost: LineSet::default(),
@@ -423,43 +394,73 @@ struct AccessReport {
     invalidated: Vec<(usize, LineAddr)>,
 }
 
+/// One core's slice of the [`CoherentChecker`] mirror.
+#[derive(Debug)]
+struct MirrorCore {
+    l1: ShadowTags,
+    /// MESI state of every line resident in `l1`.
+    mesi: LineMap<Mesi>,
+    vc: Option<ShadowVictim>,
+}
+
+impl MirrorCore {
+    /// Whether the core holds a copy of `line` (L1 or victim buffer).
+    fn holds(&self, line: LineAddr) -> bool {
+        self.l1.contains(line) || self.vc.as_ref().is_some_and(|v| v.contains(line))
+    }
+
+    /// Drops `line` from the L1, with its state.
+    fn drop_l1(&mut self, line: LineAddr) {
+        self.mesi.remove(&line.get());
+        self.l1.remove(line);
+    }
+
+    /// Kills every copy of `line` (L1 and victim buffer).
+    fn kill(&mut self, line: LineAddr) {
+        self.drop_l1(line);
+        if let Some(v) = self.vc.as_mut() {
+            v.take(line);
+        }
+    }
+
+    /// Fills `line` into the L1 in `state`. The fill's set has room: the
+    /// replacement victim was dropped first, as in the timing model.
+    fn fill(&mut self, line: LineAddr, state: Mesi) {
+        let evicted = self.l1.fill(line);
+        debug_assert!(evicted.is_none(), "victim dropped before the fill");
+        self.mesi.insert(line.get(), state);
+    }
+}
+
 /// A timing-free functional mirror of the coherent hierarchy.
 ///
-/// Maintains its own per-core L1 LRU lists with MESI states, victim
-/// buffers, and shared-L2 LRU lists — structures deliberately distinct
-/// from the simulator's stamp-based tag arrays — and replays every
-/// access in the simulator's global order, asserting that service level,
+/// Keeps per-core L1 tags and victim buffers plus a shared L2 in the
+/// single-core oracle's timing-free tag model (true-LRU recency rows,
+/// deliberately distinct from the simulator's stamp-based tag arrays),
+/// and a MESI state per resident L1 line. It replays every access in
+/// the simulator's global order, asserting that service level,
 /// replacement victims at both cache levels, and coherence-invalidation
 /// sets all agree. Any divergence panics with a diagnostic report. The
 /// only simulator fact it consumes without rederiving is the
 /// victim-filter admission bit (a policy decision, not cache state).
 #[derive(Debug)]
 pub struct CoherentChecker {
-    l1_geom: CacheGeometry,
-    l2_geom: CacheGeometry,
-    vc_entries: usize,
-    has_vc: bool,
-    /// `[core][set]`, front = MRU: (L1 line, state).
-    l1: Vec<Vec<Vec<(u64, Mesi)>>>,
-    /// `[core]`, front = MRU.
-    vc: Vec<Vec<u64>>,
-    /// `[set]`, front = MRU: L2 lines.
-    l2: Vec<Vec<u64>>,
+    cores: Vec<MirrorCore>,
+    l2: ShadowTags,
     accesses: u64,
 }
 
 impl CoherentChecker {
     fn new(cfg: &SystemConfig) -> Self {
         let m = &cfg.machine;
-        let cores = cfg.cores as usize;
+        let core = || MirrorCore {
+            l1: ShadowTags::new(m.l1d),
+            mesi: LineMap::default(),
+            vc: (cfg.victim != VictimMode::None).then(|| ShadowVictim::new(m.victim_entries)),
+        };
         CoherentChecker {
-            l1_geom: m.l1d,
-            l2_geom: m.l2,
-            vc_entries: m.victim_entries,
-            has_vc: cfg.victim != VictimMode::None,
-            l1: vec![vec![Vec::new(); m.l1d.num_sets() as usize]; cores],
-            vc: vec![Vec::new(); cores],
-            l2: vec![Vec::new(); m.l2.num_sets() as usize],
+            cores: (0..cfg.cores).map(|_| core()).collect(),
+            l2: ShadowTags::new(m.l2),
             accesses: 0,
         }
     }
@@ -480,64 +481,33 @@ impl CoherentChecker {
         );
     }
 
-    /// Positions of `line` in a core's set list, if present.
-    fn l1_pos(&self, core: usize, set: usize, line: u64) -> Option<usize> {
-        self.l1[core][set].iter().position(|&(l, _)| l == line)
-    }
-
-    fn remove_copy_everywhere(&mut self, except: usize, set: usize, line: u64) -> Vec<usize> {
-        let mut killed = Vec::new();
-        for c in 0..self.l1.len() {
-            if c == except {
-                continue;
-            }
-            let mut hit = false;
-            if let Some(p) = self.l1_pos(c, set, line) {
-                self.l1[c][set].remove(p);
-                hit = true;
-            }
-            if let Some(p) = self.vc[c].iter().position(|&l| l == line) {
-                self.vc[c].remove(p);
-                hit = true;
-            }
-            if hit {
-                killed.push(c);
-            }
-        }
-        killed
-    }
-
-    /// Inserts into a core's victim buffer with LRU drop at capacity.
-    fn vc_insert(&mut self, core: usize, line: u64) {
-        if let Some(p) = self.vc[core].iter().position(|&l| l == line) {
-            self.vc[core].remove(p);
-        } else if self.vc[core].len() == self.vc_entries {
-            self.vc[core].pop();
-        }
-        self.vc[core].insert(0, line);
+    /// The cores other than `core`.
+    fn others(&self, core: usize) -> impl Iterator<Item = &MirrorCore> {
+        self.cores
+            .iter()
+            .enumerate()
+            .filter(move |&(c, _)| c != core)
+            .map(|(_, m)| m)
     }
 
     /// Replays one access against the mirror and asserts agreement.
     fn verify(&mut self, r: &AccessReport) {
-        let line = r.line.get();
-        let set = self.l1_geom.index_of_line(r.line) as usize;
-        let addr = self.l1_geom.addr_of_line(r.line);
-        let l2_line = self.l2_geom.line_of(addr).get();
-        let l2_set = self.l2_geom.index_of_line(self.l2_geom.line_of(addr)) as usize;
+        let line = r.line;
+        let addr = self.cores[r.core].l1.geom.addr_of_line(line);
+        let l2_line = self.l2.geom.line_of(addr);
 
         // 1. Independently determine the service level.
-        let level = if self.l1_pos(r.core, set, line).is_some() {
+        let me = &self.cores[r.core];
+        let level = if me.l1.contains(line) {
             ServiceLevel::L1
-        } else if self.has_vc && self.vc[r.core].contains(&line) {
+        } else if me.vc.as_ref().is_some_and(|v| v.contains(line)) {
             ServiceLevel::VictimCache
-        } else if (0..self.l1.len()).any(|c| {
-            c != r.core
-                && self
-                    .l1_pos(c, set, line)
-                    .is_some_and(|p| self.l1[c][set][p].1 == Mesi::Modified)
-        }) {
+        } else if self
+            .others(r.core)
+            .any(|o| o.mesi.get(&line.get()) == Some(&Mesi::Modified))
+        {
             ServiceLevel::CacheToCache
-        } else if self.l2[l2_set].contains(&l2_line) {
+        } else if self.l2.contains(l2_line) {
             ServiceLevel::L2
         } else {
             ServiceLevel::Memory
@@ -555,12 +525,9 @@ impl CoherentChecker {
 
         // 2. Independently determine the coherence-invalidation set.
         let mut expected: Vec<(usize, u64)> = if r.is_store {
-            (0..self.l1.len())
-                .filter(|&c| {
-                    c != r.core
-                        && (self.l1_pos(c, set, line).is_some() || self.vc[c].contains(&line))
-                })
-                .map(|c| (c, line))
+            (0..self.cores.len())
+                .filter(|&c| c != r.core && self.cores[c].holds(line))
+                .map(|c| (c, line.get()))
                 .collect()
         } else {
             Vec::new()
@@ -580,10 +547,7 @@ impl CoherentChecker {
         let new_state = |mirror: &Self| {
             if r.is_store {
                 Mesi::Modified
-            } else if (0..mirror.l1.len()).any(|c| {
-                c != r.core
-                    && (mirror.l1_pos(c, set, line).is_some() || mirror.vc[c].contains(&line))
-            }) {
+            } else if mirror.others(r.core).any(|o| o.holds(line)) {
                 Mesi::Shared
             } else {
                 Mesi::Exclusive
@@ -591,85 +555,85 @@ impl CoherentChecker {
         };
         match level {
             ServiceLevel::L1 => {
-                let p = self.l1_pos(r.core, set, line).expect("level checked");
-                let (l, mut st) = self.l1[r.core][set].remove(p);
+                self.cores[r.core].l1.touch(line);
                 if r.is_store {
-                    self.remove_copy_everywhere(r.core, set, line);
-                    st = Mesi::Modified;
+                    self.kill_others(r.core, line);
+                    self.cores[r.core].mesi.insert(line.get(), Mesi::Modified);
                 }
-                self.l1[r.core][set].insert(0, (l, st));
             }
             ServiceLevel::VictimCache => {
-                let p = self.vc[r.core].iter().position(|&l| l == line).unwrap();
-                self.vc[r.core].remove(p);
-                self.check_l1_victim(r, set, true);
+                self.cores[r.core]
+                    .vc
+                    .as_mut()
+                    .expect("level checked")
+                    .take(line);
+                self.check_l1_victim(r, true);
                 if r.is_store {
-                    self.remove_copy_everywhere(r.core, set, line);
+                    self.kill_others(r.core, line);
                 }
                 let st = new_state(self);
-                self.l1[r.core][set].insert(0, (line, st));
+                self.cores[r.core].fill(line, st);
             }
             ServiceLevel::CacheToCache | ServiceLevel::L2 | ServiceLevel::Memory => {
-                self.check_l1_victim(r, set, false);
+                self.check_l1_victim(r, false);
                 if r.is_store {
-                    self.remove_copy_everywhere(r.core, set, line);
+                    self.kill_others(r.core, line);
                 } else {
                     // BusRd: remaining M/E copies degrade to Shared.
-                    for c in 0..self.l1.len() {
-                        if c == r.core {
-                            continue;
-                        }
-                        if let Some(p) = self.l1_pos(c, set, line) {
-                            self.l1[c][set][p].1 = Mesi::Shared;
+                    for (c, o) in self.cores.iter_mut().enumerate() {
+                        if c != r.core {
+                            if let Some(st) = o.mesi.get_mut(&line.get()) {
+                                *st = Mesi::Shared;
+                            }
                         }
                     }
                 }
                 if level == ServiceLevel::Memory {
-                    let evicted = (self.l2[l2_set].len() == self.l2_geom.assoc() as usize)
-                        .then(|| *self.l2[l2_set].last().expect("full set is nonempty"));
-                    if evicted != r.l2_victim.map(|l| l.get()) {
+                    let evicted = self.l2.fill(l2_line);
+                    if evicted != r.l2_victim {
                         self.fail(
                             r,
                             "L2 replacement victim mismatch",
                             format!(
                                 "oracle expected {evicted:?}, timing model reported {:?}",
-                                r.l2_victim.map(|l| l.get())
+                                r.l2_victim
                             ),
                         );
                     }
                     if let Some(e2) = evicted {
-                        self.l2[l2_set].pop();
                         self.back_invalidate(e2);
                     }
-                    self.l2[l2_set].insert(0, l2_line);
-                } else {
+                } else if !self.l2.touch(l2_line) {
                     // The transaction touched the shared L2 (LRU bump).
-                    if let Some(p) = self.l2[l2_set].iter().position(|&l| l == l2_line) {
-                        let l = self.l2[l2_set].remove(p);
-                        self.l2[l2_set].insert(0, l);
-                    } else {
-                        self.fail(
-                            r,
-                            "inclusion violation",
-                            format!("L2 line {l2_line:#x} absent while L1 copies exist"),
-                        );
-                    }
+                    self.fail(
+                        r,
+                        "inclusion violation",
+                        format!("L2 line {l2_line} absent while L1 copies exist"),
+                    );
                 }
                 let st = new_state(self);
-                self.l1[r.core][set].insert(0, (line, st));
+                self.cores[r.core].fill(line, st);
             }
         }
         self.accesses += 1;
+    }
+
+    /// Kills every copy of `line` outside `core`.
+    fn kill_others(&mut self, core: usize, line: LineAddr) {
+        for (c, o) in self.cores.iter_mut().enumerate() {
+            if c != core {
+                o.kill(line);
+            }
+        }
     }
 
     /// Checks the reported L1 replacement victim against the mirror's own
     /// LRU choice and applies the eviction (with VC insertion when
     /// admitted). `swap` marks the victim-cache swap path, where the
     /// displaced block always enters the buffer.
-    fn check_l1_victim(&mut self, r: &AccessReport, set: usize, swap: bool) {
-        let full = self.l1[r.core][set].len() == self.l1_geom.assoc() as usize;
-        let expected = full.then(|| self.l1[r.core][set].last().expect("full set").0);
-        let reported = r.l1_victim.map(|(l, _)| l.get());
+    fn check_l1_victim(&mut self, r: &AccessReport, swap: bool) {
+        let expected = self.cores[r.core].l1.peek_victim(r.line);
+        let reported = r.l1_victim.map(|(l, _)| l);
         if expected != reported {
             self.fail(
                 r,
@@ -678,32 +642,25 @@ impl CoherentChecker {
             );
         }
         if let Some(victim) = expected {
-            self.l1[r.core][set].pop();
-            let admitted = swap || r.l1_victim.map(|(_, a)| a).unwrap_or(false);
-            if self.has_vc && admitted {
-                self.vc_insert(r.core, victim);
+            let me = &mut self.cores[r.core];
+            me.drop_l1(victim);
+            let admitted = swap || r.l1_victim.is_some_and(|(_, a)| a);
+            if let Some(vc) = me.vc.as_mut().filter(|_| admitted) {
+                vc.insert(victim);
             }
         }
     }
 
     /// Recalls both L1-sized halves of an evicted L2 line from every
     /// mirror cache (inclusion).
-    fn back_invalidate(&mut self, l2_line: u64) {
-        let base = self.l2_geom.addr_of_line(LineAddr::new(l2_line));
-        let step = self.l1_geom.block_bytes() as u64;
-        let mut off = 0;
-        while off < self.l2_geom.block_bytes() as u64 {
-            let half = self.l1_geom.line_of(base.offset(off));
-            let set = self.l1_geom.index_of_line(half) as usize;
-            for c in 0..self.l1.len() {
-                if let Some(p) = self.l1_pos(c, set, half.get()) {
-                    self.l1[c][set].remove(p);
-                }
-                if let Some(p) = self.vc[c].iter().position(|&l| l == half.get()) {
-                    self.vc[c].remove(p);
-                }
+    fn back_invalidate(&mut self, l2_line: LineAddr) {
+        let l1_geom = self.cores[0].l1.geom;
+        let base = self.l2.geom.addr_of_line(l2_line);
+        for off in (0..self.l2.geom.block_bytes() as u64).step_by(l1_geom.block_bytes() as usize) {
+            let half = l1_geom.line_of(base.offset(off));
+            for o in &mut self.cores {
+                o.kill(half);
             }
-            off += step;
         }
     }
 }
@@ -806,7 +763,7 @@ impl MultiCoreSystem {
     pub fn stats(&self) -> HierarchyStats {
         let mut sum = HierarchyStats::default();
         for c in &self.cores {
-            add_hierarchy(&mut sum, &c.stats);
+            sum.add_weighted(&c.stats, 1);
         }
         sum
     }
@@ -885,49 +842,57 @@ impl MultiCoreSystem {
         }
     }
 
+    /// Kills core `c`'s copy of `line` (L1 frame or victim-cache entry),
+    /// if it holds one, with the coherence-plane bookkeeping. `recall`
+    /// marks an inclusion recall: the L2 copy is leaving too, so dirty
+    /// data goes straight to memory. Otherwise this is a coherence
+    /// invalidation and dirty data drains to the L2.
+    fn kill_in(&mut self, c: usize, line: LineAddr, addr: Addr, at: Cycle, recall: bool) -> bool {
+        let Some(k) = self.cores[c].kill_copy(line, addr, at, self.collect) else {
+            return false;
+        };
+        if recall {
+            self.coh.inclusion_invalidations += 1;
+        } else {
+            self.coh.coherence_invalidations += 1;
+        }
+        if k.frame.is_none() {
+            self.coh.vc_invalidations += 1;
+        }
+        if k.was_modified {
+            self.cores[c].stats.l1_writebacks += 1;
+            if recall {
+                self.backend.write(addr, at);
+            } else {
+                self.flush_to_l2(addr);
+            }
+        }
+        if let Some(rec) = &k.rec {
+            self.record_death(rec);
+        }
+        self.emit_invalidate(InvalidateEvent {
+            line,
+            owner: c as u32,
+            frame: k.frame,
+            at,
+        });
+        true
+    }
+
     /// Invalidates every other core's copy of `line`, returning the kill
-    /// list for the checker report. `inclusion` selects which counter the
-    /// kills land in.
+    /// list for the checker report.
     fn invalidate_others(
         &mut self,
         except: usize,
         line: LineAddr,
         addr: Addr,
         at: Cycle,
-        inclusion: bool,
     ) -> Vec<(usize, LineAddr)> {
-        let collect = self.collect;
         let mut killed = Vec::new();
-        for c in 0..self.cores.len() {
-            if c == except {
-                continue;
+        for c in (0..self.cores.len()).filter(|&c| c != except) {
+            if self.kill_in(c, line, addr, at, false) {
+                killed.push((c, line));
             }
-            let Some(k) = self.cores[c].kill_copy(line, addr, at, collect) else {
-                continue;
-            };
-            if inclusion {
-                self.coh.inclusion_invalidations += 1;
-            } else {
-                self.coh.coherence_invalidations += 1;
-            }
-            if k.frame.is_none() {
-                self.coh.vc_invalidations += 1;
-            }
-            if k.was_modified {
-                // The dying modified copy's data drains to the L2.
-                self.cores[c].stats.l1_writebacks += 1;
-                self.flush_to_l2(addr);
-            }
-            if let Some(rec) = &k.rec {
-                self.record_death(rec);
-            }
-            self.emit_invalidate(InvalidateEvent {
-                line,
-                owner: c as u32,
-                frame: k.frame,
-                at,
-            });
-            killed.push((c, line));
         }
         killed
     }
@@ -935,52 +900,19 @@ impl MultiCoreSystem {
     /// Recalls both L1-sized halves of an evicted L2 line from every
     /// core (strict inclusion over L1 ∪ victim cache).
     fn back_invalidate(&mut self, l2_line: LineAddr, at: Cycle) {
-        let l1_geom = self.cfg.machine.l1d;
-        let l2_geom = self.cfg.machine.l2;
+        let (l1_geom, l2_geom) = (self.cfg.machine.l1d, self.cfg.machine.l2);
         let base = l2_geom.addr_of_line(l2_line);
-        let step = l1_geom.block_bytes() as u64;
-        let collect = self.collect;
-        let mut off = 0;
-        while off < l2_geom.block_bytes() as u64 {
+        for off in (0..l2_geom.block_bytes() as u64).step_by(l1_geom.block_bytes() as usize) {
             let half_addr = base.offset(off);
-            let half = l1_geom.line_of(half_addr);
             for c in 0..self.cores.len() {
-                let Some(k) = self.cores[c].kill_copy(half, half_addr, at, collect) else {
-                    continue;
-                };
-                self.coh.inclusion_invalidations += 1;
-                if k.frame.is_none() {
-                    self.coh.vc_invalidations += 1;
-                }
-                if k.was_modified {
-                    // The L2 copy is leaving too: the recalled dirty data
-                    // goes straight to memory.
-                    self.cores[c].stats.l1_writebacks += 1;
-                    self.backend.write(half_addr, at);
-                }
-                if let Some(rec) = &k.rec {
-                    self.record_death(rec);
-                }
-                self.emit_invalidate(InvalidateEvent {
-                    line: half,
-                    owner: c as u32,
-                    frame: k.frame,
-                    at,
-                });
+                self.kill_in(c, l1_geom.line_of(half_addr), half_addr, at, true);
             }
-            off += step;
         }
     }
 
     /// One demand access by `core` at `now`. Returns the cycle at which
     /// the data is available to the core.
-    pub fn access(
-        &mut self,
-        core: usize,
-        mref: &crate::trace::MemRef,
-        is_store: bool,
-        now: Cycle,
-    ) -> Cycle {
+    pub fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
         let m = self.cfg.machine;
         let geom = m.l1d;
         let addr = mref.addr;
@@ -1038,7 +970,7 @@ impl MultiCoreSystem {
                                 kind: CoherenceKind::Upgrade,
                                 at: grant,
                             });
-                            let killed = self.invalidate_others(core, line, addr, grant, false);
+                            let killed = self.invalidate_others(core, line, addr, grant);
                             if let Some(r) = report.as_mut() {
                                 r.invalidated = killed;
                             }
@@ -1106,7 +1038,7 @@ impl MultiCoreSystem {
                                 kind: CoherenceKind::Upgrade,
                                 at: grant,
                             });
-                            let killed = self.invalidate_others(core, line, addr, grant, false);
+                            let killed = self.invalidate_others(core, line, addr, grant);
                             if let Some(r) = report.as_mut() {
                                 r.invalidated = killed;
                             }
@@ -1262,7 +1194,7 @@ impl MultiCoreSystem {
                     // Remote-state adjustment for the remaining copies.
                     if is_store {
                         if others {
-                            let killed = self.invalidate_others(core, line, addr, grant, false);
+                            let killed = self.invalidate_others(core, line, addr, grant);
                             if let Some(r) = report.as_mut() {
                                 r.invalidated = killed;
                             }
@@ -1342,13 +1274,9 @@ impl MultiCoreSystem {
     /// core, and returns the aggregated core statistics (`cycles` is the
     /// last core's completion time; the rest are sums).
     ///
-    /// The driver replicates the single-core out-of-order window model
-    /// per core and services cores in index order within each cycle,
-    /// which fixes the global coherence-transaction order. When every
-    /// live core is blocked, the clock hops to the earliest per-core
-    /// wake-up (window head or chained-load address) — there are no
-    /// memory-system background events — so hopping is bit-identical to
-    /// `step_every_cycle`.
+    /// The cores run on the one core loop of [`crate::core`], which
+    /// services them in index order within each cycle and so fixes the
+    /// global coherence-transaction order.
     ///
     /// # Panics
     ///
@@ -1359,165 +1287,14 @@ impl MultiCoreSystem {
             self.cores.len(),
             "one instruction stream per core"
         );
-        let m = self.cfg.machine;
-        let issue_width = m.issue_width as usize;
-        let window_size = m.window_size as usize;
-        let commit_width = m.commit_width as usize;
-        let ignore_swpf = self.cfg.ignore_sw_prefetch;
-        let step_every_cycle = self.cfg.step_every_cycle;
-
-        struct Exec {
-            window: std::collections::VecDeque<Cycle>,
-            stalled: Option<Instr>,
-            chain_ready: Cycle,
-            fetched: u64,
-            stats: CoreStats,
-            done: bool,
-        }
-        let mut execs: Vec<Exec> = (0..self.cores.len())
-            .map(|_| Exec {
-                window: std::collections::VecDeque::with_capacity(window_size),
-                stalled: None,
-                chain_ready: Cycle::ZERO,
-                fetched: 0,
-                stats: CoreStats::default(),
-                done: false,
-            })
-            .collect();
-
-        let mut cycle = Cycle::ZERO;
-        loop {
-            let mut all_done = true;
-            for c in 0..execs.len() {
-                if execs[c].done {
-                    continue;
-                }
-                // Retire in order.
-                let mut retired = 0;
-                while retired < commit_width {
-                    match execs[c].window.front() {
-                        Some(&ready) if ready <= cycle => {
-                            execs[c].window.pop_front();
-                            execs[c].stats.instructions += 1;
-                            retired += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                if execs[c].stats.instructions >= instructions && execs[c].window.is_empty() {
-                    execs[c].done = true;
-                    execs[c].stats.cycles = cycle.get();
-                    continue;
-                }
-                all_done = false;
-
-                // Issue in order while the window has room.
-                let mut issued = 0;
-                let mut window_was_full = false;
-                while issued < issue_width && execs[c].fetched < instructions {
-                    if execs[c].window.len() >= window_size {
-                        window_was_full = true;
-                        break;
-                    }
-                    let instr = match execs[c].stalled.take() {
-                        Some(i) => i,
-                        None => streams[c].next_instr(),
-                    };
-                    if let Instr::ChainedLoad(_) = instr {
-                        if execs[c].chain_ready > cycle {
-                            execs[c].stalled = Some(instr);
-                            break;
-                        }
-                    }
-                    let ready = match instr {
-                        Instr::Op => cycle + 1,
-                        Instr::Load(mr) => {
-                            execs[c].stats.loads += 1;
-                            self.access(c, &mr, false, cycle)
-                        }
-                        Instr::ChainedLoad(mr) => {
-                            execs[c].stats.loads += 1;
-                            let ready = self.access(c, &mr, false, cycle);
-                            execs[c].chain_ready = ready;
-                            ready
-                        }
-                        Instr::Store(mr) => {
-                            execs[c].stats.stores += 1;
-                            self.access(c, &mr, true, cycle);
-                            cycle + 1
-                        }
-                        Instr::SwPrefetch(mr) => {
-                            if ignore_swpf {
-                                cycle + 1
-                            } else {
-                                execs[c].stats.sw_prefetches += 1;
-                                self.access(c, &mr, false, cycle);
-                                cycle + 1
-                            }
-                        }
-                    };
-                    execs[c].window.push_back(ready);
-                    execs[c].fetched += 1;
-                    issued += 1;
-                }
-                if window_was_full {
-                    execs[c].stats.window_full_cycles += 1;
-                }
-            }
-            if all_done {
-                break;
-            }
-
-            // Event-driven clock hopping: when every live core is blocked,
-            // every cycle before the earliest wake-up is provably a no-op
-            // (completion times are fixed at issue; nothing in the memory
-            // system fires on its own).
-            let mut next = cycle + 1;
-            if !step_every_cycle {
-                let mut all_blocked = true;
-                let mut wake = Cycle::new(u64::MAX);
-                for ex in execs.iter().filter(|e| !e.done) {
-                    let blocked = ex.fetched >= instructions
-                        || ex.window.len() >= window_size
-                        || ex.stalled.is_some();
-                    if !blocked {
-                        all_blocked = false;
-                        break;
-                    }
-                    if let Some(&front) = ex.window.front() {
-                        if front < wake {
-                            wake = front;
-                        }
-                    }
-                    if ex.stalled.is_some() && ex.chain_ready < wake {
-                        wake = ex.chain_ready;
-                    }
-                }
-                if all_blocked && wake > next && wake < Cycle::new(u64::MAX) {
-                    for ex in execs.iter_mut().filter(|e| !e.done) {
-                        if ex.window.len() >= window_size && ex.fetched < instructions {
-                            ex.stats.window_full_cycles += wake.get() - next.get();
-                        }
-                    }
-                    next = wake;
-                }
-            }
-            cycle = next;
-            for ex in execs.iter_mut().filter(|e| !e.done) {
-                ex.stats.cycles = cycle.get();
-            }
-        }
-        self.finish(cycle);
-
+        let mut cores: Vec<OooCore> = streams.iter().map(|_| OooCore::new(&self.cfg)).collect();
+        crate::core::drive(&mut cores, self, |c| streams[c].next_instr(), instructions);
         let mut agg = CoreStats::default();
-        for ex in &execs {
-            agg.instructions += ex.stats.instructions;
-            agg.loads += ex.stats.loads;
-            agg.stores += ex.stats.stores;
-            agg.sw_prefetches += ex.stats.sw_prefetches;
-            agg.window_full_cycles += ex.stats.window_full_cycles;
-            agg.cycles = agg.cycles.max(ex.stats.cycles);
+        for core in &cores {
+            agg.add_weighted(core.stats(), 1);
         }
+        // The run lasts until its slowest core finishes.
+        agg.cycles = cores.iter().map(|c| c.stats().cycles).max().unwrap_or(0);
         agg
     }
 
@@ -1528,49 +1305,21 @@ impl MultiCoreSystem {
         self.finish(Cycle::new(core.cycles));
         let hierarchy = self.stats();
         let mut breakdown = MissBreakdown::default();
-        for p in &self.cores {
-            let b = p.shadow.breakdown();
-            breakdown.cold += b.cold;
-            breakdown.conflict += b.conflict;
-            breakdown.capacity += b.capacity;
-        }
         let mut metrics = MetricsCollector::new();
+        let mut victim: Option<VictimStats> = None;
+        let mut victim_swap_fills: Option<u64> = None;
+        let mut correlation: Option<CorrelationStats> = None;
         for p in &self.cores {
+            breakdown.add_weighted(&p.shadow.breakdown(), 1);
             metrics.merge(&p.metrics);
+            if let Some(v) = &p.victim {
+                victim.add_weighted(&Some(v.cache.stats()), 1);
+                victim_swap_fills.add_weighted(&Some(v.swap_fills), 1);
+            }
+            if let Some(tk) = &p.tk {
+                correlation.add_weighted(&Some(tk.pred.table_stats()), 1);
+            }
         }
-        let victim = (self.cfg.victim != VictimMode::None).then(|| {
-            let mut sum = VictimStats::default();
-            for p in &self.cores {
-                if let Some(v) = &p.victim {
-                    let s = v.cache.stats();
-                    sum.offered += s.offered;
-                    sum.admitted += s.admitted;
-                    sum.probes += s.probes;
-                    sum.hits += s.hits;
-                }
-            }
-            sum
-        });
-        let victim_swap_fills = (self.cfg.victim != VictimMode::None).then(|| {
-            self.cores
-                .iter()
-                .filter_map(|p| p.victim.as_ref())
-                .map(|v| v.swap_fills)
-                .sum()
-        });
-        let correlation = matches!(self.cfg.prefetch, PrefetchMode::Timekeeping(_)).then(|| {
-            let mut sum = timekeeping::CorrelationStats::default();
-            for p in &self.cores {
-                if let Some(tk) = &p.tk {
-                    let s = tk.pred.table_stats();
-                    sum.lookups += s.lookups;
-                    sum.hits += s.hits;
-                    sum.updates += s.updates;
-                    sum.allocations += s.allocations;
-                }
-            }
-            sum
-        });
         RunResult {
             workload: workload.to_owned(),
             core,
@@ -1590,24 +1339,22 @@ impl MultiCoreSystem {
     }
 }
 
-fn add_hierarchy(sum: &mut HierarchyStats, s: &HierarchyStats) {
-    sum.l1_accesses += s.l1_accesses;
-    sum.l1_hits += s.l1_hits;
-    sum.vc_hits += s.vc_hits;
-    sum.l2_accesses += s.l2_accesses;
-    sum.l2_hits += s.l2_hits;
-    sum.mem_accesses += s.mem_accesses;
-    sum.pf_enqueued += s.pf_enqueued;
-    sum.pf_issued += s.pf_issued;
-    sum.pf_fills += s.pf_fills;
-    sum.pf_redundant += s.pf_redundant;
-    sum.pf_dropped_live += s.pf_dropped_live;
-    sum.addr_predictions += s.addr_predictions;
-    sum.addr_correct += s.addr_correct;
-    sum.l1_writebacks += s.l1_writebacks;
-    sum.l2_writebacks += s.l2_writebacks;
-    sum.decay_misses += s.decay_misses;
-    sum.decay_off_cycles += s.decay_off_cycles;
+/// The coherent hierarchy as the core loop's N-core port.
+impl CorePort for MultiCoreSystem {
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
+    }
+    /// No background events: nothing to replay.
+    fn advance(&mut self, _now: Cycle) {}
+    fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
+        MultiCoreSystem::access(self, core, mref, is_store, now)
+    }
+    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
+        None
+    }
+    fn finish(&mut self, now: Cycle) {
+        MultiCoreSystem::finish(self, now)
+    }
 }
 
 /// Runs `instructions` instructions per core of `workload`'s per-core
@@ -1652,9 +1399,8 @@ pub fn run_multicore<W: Workload + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
-    use crate::trace::MemRef;
-    use timekeeping::{Addr, Pc};
+    use crate::trace::Instr;
+    use timekeeping::Pc;
 
     /// Per-core strided load stream over a private region.
     #[derive(Clone)]

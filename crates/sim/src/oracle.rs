@@ -119,9 +119,14 @@ pub struct SimObservation {
 /// A naive per-set recency-list tag array: index 0 is LRU, the back is
 /// MRU. A set holds fewer than `assoc` entries while invalid ways
 /// remain, which models the invalid-way-first fill rule.
+///
+/// The crate's one timing-free tag model: the [`FunctionalOracle`], the
+/// sampling warmup (through the oracle) and the multi-core
+/// [`CoherentChecker`](crate::multicore::CoherentChecker) all keep their
+/// tags here.
 #[derive(Debug, Clone)]
-struct ShadowTags {
-    geom: CacheGeometry,
+pub(crate) struct ShadowTags {
+    pub(crate) geom: CacheGeometry,
     /// `assoc` slots per set, one contiguous row each: tags stored `+1`
     /// (0 = invalid way), occupied slots packed at the front of the row
     /// in LRU→MRU order. The sampling warmup runs [`touch`](Self::touch)
@@ -132,7 +137,7 @@ struct ShadowTags {
 }
 
 impl ShadowTags {
-    fn new(geom: CacheGeometry) -> Self {
+    pub(crate) fn new(geom: CacheGeometry) -> Self {
         let assoc = geom.assoc() as usize;
         ShadowTags {
             geom,
@@ -159,7 +164,7 @@ impl ShadowTags {
 
     /// Whether `line` is resident; moves it to MRU if so.
     #[inline]
-    fn touch(&mut self, line: LineAddr) -> bool {
+    pub(crate) fn touch(&mut self, line: LineAddr) -> bool {
         let tag1 = self.tag1_of(line);
         let set_idx = self.set_of(line);
         let assoc = self.assoc;
@@ -193,7 +198,7 @@ impl ShadowTags {
 
     /// The line a fill into `line`'s set would evict (true LRU, invalid
     /// ways first), without modifying anything.
-    fn peek_victim(&self, line: LineAddr) -> Option<LineAddr> {
+    pub(crate) fn peek_victim(&self, line: LineAddr) -> Option<LineAddr> {
         let set_idx = self.set_of(line);
         let row = self.row(set_idx);
         if row[self.assoc - 1] == 0 {
@@ -205,7 +210,7 @@ impl ShadowTags {
 
     /// Fills `line` as MRU, returning the evicted line, if any. The
     /// line must not be resident.
-    fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+    pub(crate) fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
         if self.assoc == 1 {
             let set_idx = self.set_of(line);
             let old = self.slots[set_idx];
@@ -227,6 +232,27 @@ impl ShadowTags {
             row[free] = tag1;
         }
         evicted
+    }
+
+    /// Whether `line` is resident, leaving the recency order alone.
+    pub(crate) fn contains(&self, line: LineAddr) -> bool {
+        let tag1 = self.tag1_of(line);
+        self.row(self.set_of(line)).contains(&tag1)
+    }
+
+    /// Invalidates `line` if resident, keeping the others' recency
+    /// order; returns whether it was resident.
+    pub(crate) fn remove(&mut self, line: LineAddr) -> bool {
+        let tag1 = self.tag1_of(line);
+        let set_idx = self.set_of(line);
+        let row = &mut self.slots[set_idx * self.assoc..(set_idx + 1) * self.assoc];
+        let Some(i) = row.iter().position(|&t| t == tag1) else {
+            return false;
+        };
+        // Close the gap: the younger entries shift down one slot.
+        row.copy_within(i + 1.., i);
+        row[row.len() - 1] = 0;
+        true
     }
 
     /// The set contents in LRU→MRU order, for divergence reports.
@@ -254,21 +280,26 @@ impl ShadowTags {
 
 /// A naive fully-associative LRU victim buffer: index 0 is LRU.
 #[derive(Debug, Clone)]
-struct ShadowVictim {
+pub(crate) struct ShadowVictim {
     capacity: usize,
     entries: Vec<LineAddr>,
 }
 
 impl ShadowVictim {
-    fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ShadowVictim {
             capacity,
             entries: Vec::new(),
         }
     }
 
+    /// Whether `line` is buffered, leaving the recency order alone.
+    pub(crate) fn contains(&self, line: LineAddr) -> bool {
+        self.entries.contains(&line)
+    }
+
     /// Probe-and-remove (the L1↔VC swap semantics of a hit).
-    fn take(&mut self, line: LineAddr) -> bool {
+    pub(crate) fn take(&mut self, line: LineAddr) -> bool {
         match self.entries.iter().position(|&l| l == line) {
             Some(pos) => {
                 self.entries.remove(pos);
@@ -278,7 +309,8 @@ impl ShadowVictim {
         }
     }
 
-    fn insert(&mut self, line: LineAddr) {
+    /// Inserts `line` as MRU, dropping the LRU entry at capacity.
+    pub(crate) fn insert(&mut self, line: LineAddr) {
         if let Some(pos) = self.entries.iter().position(|&l| l == line) {
             self.entries.remove(pos);
         } else if self.entries.len() == self.capacity {
@@ -738,6 +770,56 @@ mod tests {
             r.hierarchy.pf_issued > 0,
             "trace must exercise the prefetch path"
         );
+    }
+
+    /// `ShadowTags` against a naive MRU-first `Vec` per set (the
+    /// representation the coherent checker kept before it moved onto the
+    /// shared tag model): every operation and every set's recency order
+    /// must agree over seeded random streams at assoc 1, 2 and 4.
+    #[test]
+    fn shadow_tags_match_naive_recency_lists() {
+        use tk_workloads::rng::Rng;
+        for assoc in [1u32, 2, 4] {
+            let sets = 4u64;
+            let geom = CacheGeometry::new(sets * assoc as u64 * 32, assoc, 32).unwrap();
+            let mut tags = ShadowTags::new(geom);
+            // `[set]`, front = MRU.
+            let mut naive: Vec<Vec<LineAddr>> = vec![Vec::new(); sets as usize];
+            let mut rng = Rng::new(0x7a65_0000 + assoc as u64);
+            for step in 0..20_000 {
+                // A pool of 4 lines per way keeps sets full and conflicting.
+                let line = LineAddr::new(rng.below(sets * assoc as u64 * 4));
+                let list = &mut naive[geom.index_of_line(line) as usize];
+                let pos = list.iter().position(|&l| l == line);
+                let what = format!("assoc {assoc}, step {step}, {line}");
+                match rng.below(4) {
+                    0 => {
+                        assert_eq!(tags.touch(line), pos.is_some(), "touch: {what}");
+                        if let Some(p) = pos {
+                            let l = list.remove(p);
+                            list.insert(0, l);
+                        }
+                    }
+                    1 if pos.is_none() => {
+                        let expected =
+                            (list.len() == assoc as usize).then(|| list.pop().expect("full"));
+                        assert_eq!(tags.peek_victim(line), expected, "peek: {what}");
+                        assert_eq!(tags.fill(line), expected, "fill: {what}");
+                        list.insert(0, line);
+                    }
+                    2 => assert_eq!(tags.contains(line), pos.is_some(), "contains: {what}"),
+                    _ => {
+                        assert_eq!(tags.remove(line), pos.is_some(), "remove: {what}");
+                        if let Some(p) = pos {
+                            list.remove(p);
+                        }
+                    }
+                }
+                let set = geom.index_of_line(line);
+                let lru_to_mru: Vec<LineAddr> = naive[set as usize].iter().rev().copied().collect();
+                assert_eq!(tags.set_lines(set), lru_to_mru, "recency order: {what}");
+            }
+        }
     }
 
     #[test]

@@ -36,14 +36,15 @@
 use std::cmp::Reverse;
 
 use timekeeping::{
-    CacheGeometry, Cycle, Dbcp, EvictCause, EvictionInfo, GenerationRecord, LineAddr, LineMeta,
-    LinePlane, MissKind, PrefetchRequest, TimekeepingPrefetcher, Timeliness, VictimCache,
-    VictimFilter,
+    AdaptiveDeadTimeFilter, CacheGeometry, CollinsFilter, Cycle, Dbcp, DeadTimeFilter, EvictCause,
+    EvictionInfo, GenerationRecord, GlobalTicker, LineAddr, LineMeta, LinePlane, MissKind,
+    NoFilter, PrefetchRequest, ReloadIntervalFilter, TimekeepingPrefetcher, Timeliness,
+    VictimCache, VictimFilter,
 };
 use timekeeping::{Histogram, L2IntervalMonitor, MetricsCollector, Pc};
 
 use crate::cache::ProbeResult;
-use crate::config::{L1Mode, MachineConfig};
+use crate::config::{L1Mode, MachineConfig, SystemConfig, VictimMode};
 use crate::hierarchy::{AccessOutcome, MemorySystem};
 use crate::obs::{ProfStage, TraceKind, TraceObserver};
 use crate::oracle::SimLevel;
@@ -484,6 +485,31 @@ pub(crate) struct VictimUnit {
     /// Blocks entered by L1↔VC swaps (not counted as filtered fill
     /// traffic; see DESIGN.md).
     pub(crate) swap_fills: u64,
+}
+
+impl VictimUnit {
+    /// The victim cache `cfg.victim` asks for (`None` without one), its
+    /// timing-based filters on the shared global `ticker`.
+    pub(crate) fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Option<Self> {
+        let m = &cfg.machine;
+        let filter: Box<dyn VictimFilter> = match cfg.victim {
+            VictimMode::None => return None,
+            VictimMode::Unfiltered => Box::new(NoFilter),
+            VictimMode::Collins => Box::new(CollinsFilter::new(m.l1d.num_sets() as usize)),
+            VictimMode::DeadTime { threshold } => Box::new(DeadTimeFilter::new(threshold, ticker)),
+            VictimMode::AdaptiveDeadTime => {
+                Box::new(AdaptiveDeadTimeFilter::new(ticker, m.victim_entries))
+            }
+            VictimMode::ReloadInterval { threshold } => {
+                Box::new(ReloadIntervalFilter::new(threshold))
+            }
+        };
+        Some(VictimUnit {
+            cache: VictimCache::new(m.victim_entries),
+            filter,
+            swap_fills: 0,
+        })
+    }
 }
 
 /// Victim-cache admission, as an observer: offers every closed

@@ -45,18 +45,14 @@
 use std::sync::Mutex;
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
-use timekeeping::{
-    CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, LineAddr, MetricsCollector,
-    MissBreakdown, TimelinessStats, VictimStats,
-};
+use timekeeping::{CacheGeometry, Cycle, FullyAssocShadow, LineAddr, MissBreakdown};
 
 use crate::config::{SampleConfig, SystemConfig};
-use crate::core::{CoreStats, OooCore};
-use crate::dram::DramStats;
-use crate::hierarchy::{HierarchyStats, MemorySystem};
+use crate::core::OooCore;
+use crate::hierarchy::MemorySystem;
 use crate::obs::TraceKind;
 use crate::oracle::{FunctionalOracle, LockstepChecker};
-use crate::system::{RunResult, SimSystem};
+use crate::system::{RunResult, SimSystem, WeightedSum};
 use crate::trace::{Instr, Workload};
 
 // ---------------------------------------------------------------------------
@@ -966,147 +962,6 @@ fn time_interval<W: Workload + ?Sized>(
 }
 
 // ---------------------------------------------------------------------------
-// Weighted reconstruction
-// ---------------------------------------------------------------------------
-
-/// Accumulates weighted per-interval results into whole-run statistics.
-struct Aggregate {
-    core: CoreStats,
-    hierarchy: HierarchyStats,
-    breakdown: MissBreakdown,
-    metrics: MetricsCollector,
-    victim: Option<VictimStats>,
-    victim_swap_fills: Option<u64>,
-    timeliness: TimelinessStats,
-    correlation: Option<CorrelationStats>,
-    dbcp: Option<timekeeping::DbcpStats>,
-    pf_queue_discards: u64,
-    dram: Option<DramStats>,
-}
-
-impl Aggregate {
-    fn new() -> Self {
-        Aggregate {
-            core: CoreStats::default(),
-            hierarchy: HierarchyStats::default(),
-            breakdown: MissBreakdown::default(),
-            metrics: MetricsCollector::new(),
-            victim: None,
-            victim_swap_fills: None,
-            timeliness: TimelinessStats::default(),
-            correlation: None,
-            dbcp: None,
-            pf_queue_discards: 0,
-            dram: None,
-        }
-    }
-
-    fn add(&mut self, r: &RunResult, w: u64) {
-        let c = &r.core;
-        let d = &mut self.core;
-        d.instructions += c.instructions * w;
-        d.cycles += c.cycles * w;
-        d.loads += c.loads * w;
-        d.stores += c.stores * w;
-        d.sw_prefetches += c.sw_prefetches * w;
-        d.window_full_cycles += c.window_full_cycles * w;
-
-        let h = &r.hierarchy;
-        let t = &mut self.hierarchy;
-        t.l1_accesses += h.l1_accesses * w;
-        t.l1_hits += h.l1_hits * w;
-        t.vc_hits += h.vc_hits * w;
-        t.l2_accesses += h.l2_accesses * w;
-        t.l2_hits += h.l2_hits * w;
-        t.mem_accesses += h.mem_accesses * w;
-        t.pf_enqueued += h.pf_enqueued * w;
-        t.pf_issued += h.pf_issued * w;
-        t.pf_fills += h.pf_fills * w;
-        t.pf_redundant += h.pf_redundant * w;
-        t.pf_dropped_live += h.pf_dropped_live * w;
-        t.addr_predictions += h.addr_predictions * w;
-        t.addr_correct += h.addr_correct * w;
-        t.l1_writebacks += h.l1_writebacks * w;
-        t.l2_writebacks += h.l2_writebacks * w;
-        t.decay_misses += h.decay_misses * w;
-        t.decay_off_cycles += h.decay_off_cycles * w;
-
-        self.breakdown.cold += r.breakdown.cold * w;
-        self.breakdown.conflict += r.breakdown.conflict * w;
-        self.breakdown.capacity += r.breakdown.capacity * w;
-
-        // Distribution-shaped stats only expose merging; applying the
-        // weight as repeated merges keeps every histogram's counts
-        // consistent with the scaled counters. Weights are interval
-        // counts (budget / interval), so this stays small.
-        for _ in 0..w {
-            self.metrics.merge(&r.metrics);
-            self.timeliness.merge(&r.timeliness);
-        }
-
-        if let Some(v) = r.victim {
-            let d = self.victim.get_or_insert_with(VictimStats::default);
-            d.offered += v.offered * w;
-            d.admitted += v.admitted * w;
-            d.probes += v.probes * w;
-            d.hits += v.hits * w;
-        }
-        if let Some(v) = r.victim_swap_fills {
-            *self.victim_swap_fills.get_or_insert(0) += v * w;
-        }
-        if let Some(v) = r.correlation {
-            let d = self
-                .correlation
-                .get_or_insert_with(CorrelationStats::default);
-            d.lookups += v.lookups * w;
-            d.hits += v.hits * w;
-            d.updates += v.updates * w;
-            d.allocations += v.allocations * w;
-        }
-        if let Some(v) = r.dbcp {
-            let d = self
-                .dbcp
-                .get_or_insert_with(timekeeping::DbcpStats::default);
-            d.lookups += v.lookups * w;
-            d.predictions += v.predictions * w;
-            d.prefetches += v.prefetches * w;
-            d.updates += v.updates * w;
-        }
-        self.pf_queue_discards += r.pf_queue_discards * w;
-        if let Some(v) = r.dram {
-            let d = self.dram.get_or_insert_with(DramStats::default);
-            d.reads += v.reads * w;
-            d.writes += v.writes * w;
-            d.row_hits += v.row_hits * w;
-            d.row_closed += v.row_closed * w;
-            d.row_conflicts += v.row_conflicts * w;
-            d.bank_wait_cycles += v.bank_wait_cycles * w;
-            d.bus_wait_cycles += v.bus_wait_cycles * w;
-            d.read_latency_cycles += v.read_latency_cycles * w;
-        }
-    }
-
-    fn into_result(self, workload: &str, stats: SampleStats) -> RunResult {
-        RunResult {
-            workload: workload.to_owned(),
-            core: self.core,
-            hierarchy: self.hierarchy,
-            breakdown: self.breakdown,
-            metrics: self.metrics,
-            victim: self.victim,
-            victim_swap_fills: self.victim_swap_fills,
-            timeliness: self.timeliness,
-            correlation: self.correlation,
-            dbcp: self.dbcp,
-            pf_queue_discards: self.pf_queue_discards,
-            dram: self.dram,
-            sampled: Some(stats),
-            coherence: None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Sample checkpoints (the sweep-level reuse plane, see `crate::ckpt`)
 // ---------------------------------------------------------------------------
 
@@ -1423,22 +1278,21 @@ pub fn assemble_shards(ckpt: &SampleCheckpoint, shard_results: &[RunResult]) -> 
         ckpt.shards.len(),
         "one result per shard"
     );
-    let mut agg = Aggregate::new();
+    // The weighted reconstruction of the whole run.
+    let mut sum = RunResult::zero(&ckpt.workload);
     let mut timed = 0u64;
     for (shard, r) in ckpt.shards.iter().zip(shard_results) {
-        agg.add(r, shard.weight);
+        sum.add_weighted(r, shard.weight);
         timed += shard.length;
     }
-    agg.into_result(
-        &ckpt.workload,
-        SampleStats {
-            interval: ckpt.interval,
-            k: ckpt.k,
-            intervals: ckpt.intervals,
-            representatives: ckpt.reps,
-            timed_instructions: timed,
-        },
-    )
+    sum.sampled = Some(SampleStats {
+        interval: ckpt.interval,
+        k: ckpt.k,
+        intervals: ckpt.intervals,
+        representatives: ckpt.reps,
+        timed_instructions: timed,
+    });
+    sum
 }
 
 /// Runs every shard sequentially and assembles — the single-job path
@@ -1534,7 +1388,7 @@ pub(crate) fn run_sampled<W: Workload + ?Sized>(
     let clusters = cluster_intervals(&sigs, sc.k, kmeans_seed(workload.name(), sc));
 
     let mut warm = WarmState::new(&cfg);
-    let mut agg = Aggregate::new();
+    let mut sum = RunResult::zero(workload.name());
     let mut next = 0usize;
     let mut timed = 0u64;
     let mut stream = workload.fork().expect("fork succeeded above");
@@ -1543,7 +1397,7 @@ pub(crate) fn run_sampled<W: Workload + ?Sized>(
             let cl = clusters[next];
             let mut rep_wl = stream.fork().expect("forkable workload stays forkable");
             let r = run_rep(&mut *rep_wl, &warm, cfg, sc.interval, i, cl.weight, checked);
-            agg.add(&r, cl.weight);
+            sum.add_weighted(&r, cl.weight);
             timed += sc.interval;
             next += 1;
         }
@@ -1554,20 +1408,18 @@ pub(crate) fn run_sampled<W: Workload + ?Sized>(
     }
     if tail > 0 {
         let r = run_rep(&mut stream, &warm, cfg, tail, num_intervals, 1, checked);
-        agg.add(&r, 1);
+        sum.add_weighted(&r, 1);
         timed += tail;
     }
 
-    Some(agg.into_result(
-        workload.name(),
-        SampleStats {
-            interval: sc.interval,
-            k: sc.k,
-            intervals: num_intervals,
-            representatives: clusters.len() as u32,
-            timed_instructions: timed,
-        },
-    ))
+    sum.sampled = Some(SampleStats {
+        interval: sc.interval,
+        k: sc.k,
+        intervals: num_intervals,
+        representatives: clusters.len() as u32,
+        timed_instructions: timed,
+    });
+    Some(sum)
 }
 
 /// Test hook for the oracle-warmup soundness property: fast-forwards

@@ -1,12 +1,69 @@
 //! One-call experiment runner: workload × configuration → statistics.
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
-use timekeeping::{MetricsCollector, MissBreakdown, TimelinessStats, VictimStats};
+use timekeeping::{
+    CorrelationStats, DbcpStats, MetricsCollector, MissBreakdown, TimelinessStats, VictimStats,
+};
 
 use crate::config::SystemConfig;
 use crate::core::{CoreStats, OooCore};
+use crate::dram::DramStats;
 use crate::hierarchy::{HierarchyStats, MemorySystem};
 use crate::trace::Workload;
+
+/// Weighted accumulation of a counter block: `self += w * other`, field
+/// by field. Multi-core runs sum per-core blocks with `w = 1`; sampled
+/// runs reconstruct the whole run from cluster representatives with `w`
+/// = the cluster weight. An `Option` block starts at zero the first time
+/// a `Some` is added.
+pub(crate) trait WeightedSum {
+    fn add_weighted(&mut self, other: &Self, w: u64);
+}
+
+impl WeightedSum for u64 {
+    fn add_weighted(&mut self, other: &Self, w: u64) {
+        *self += other * w;
+    }
+}
+
+impl<T: WeightedSum + Default> WeightedSum for Option<T> {
+    fn add_weighted(&mut self, other: &Self, w: u64) {
+        if let Some(o) = other {
+            self.get_or_insert_with(T::default).add_weighted(o, w);
+        }
+    }
+}
+
+/// Implements [`WeightedSum`] for plain `u64` counter structs. The
+/// destructuring pattern names every field, so a field added to one of
+/// these structs fails to compile here until it is summed too.
+macro_rules! weighted_sum {
+    ($($ty:ident { $($f:ident),* $(,)? })*) => {$(
+        impl WeightedSum for $ty {
+            fn add_weighted(&mut self, other: &Self, w: u64) {
+                let $ty { $($f),* } = other;
+                $(self.$f += $f * w;)*
+            }
+        }
+    )*};
+}
+
+weighted_sum! {
+    CoreStats { instructions, cycles, loads, stores, sw_prefetches, window_full_cycles }
+    HierarchyStats {
+        l1_accesses, l1_hits, vc_hits, l2_accesses, l2_hits, mem_accesses, pf_enqueued,
+        pf_issued, pf_fills, pf_redundant, pf_dropped_live, addr_predictions, addr_correct,
+        l1_writebacks, l2_writebacks, decay_misses, decay_off_cycles,
+    }
+    MissBreakdown { cold, conflict, capacity }
+    VictimStats { offered, admitted, probes, hits }
+    CorrelationStats { lookups, hits, updates, allocations }
+    DbcpStats { lookups, predictions, prefetches, updates }
+    DramStats {
+        reads, writes, row_hits, row_closed, row_conflicts, bank_wait_cycles, bus_wait_cycles,
+        read_latency_cycles,
+    }
+}
 
 /// Everything a single simulation run produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,13 +85,13 @@ pub struct RunResult {
     /// Prefetch timeliness, if a prefetcher ran.
     pub timeliness: TimelinessStats,
     /// Correlation-table stats (timekeeping prefetcher only).
-    pub correlation: Option<timekeeping::CorrelationStats>,
+    pub correlation: Option<CorrelationStats>,
     /// DBCP stats (DBCP prefetcher only).
-    pub dbcp: Option<timekeeping::DbcpStats>,
+    pub dbcp: Option<DbcpStats>,
     /// Prefetch-queue overflow discards.
     pub pf_queue_discards: u64,
     /// Banked-DRAM statistics (`None` under the fixed-latency default).
-    pub dram: Option<crate::dram::DramStats>,
+    pub dram: Option<DramStats>,
     /// Statistical-sampling summary (`None` for full runs, including
     /// configurations where sampling was requested but fell back to full
     /// simulation — the absence of this tag is the fallback signal).
@@ -56,6 +113,53 @@ impl RunResult {
         } else {
             self.ipc() / base.ipc() - 1.0
         }
+    }
+
+    /// An all-zero result for `workload`: the start of a weighted sum.
+    pub(crate) fn zero(workload: &str) -> Self {
+        RunResult {
+            workload: workload.to_owned(),
+            core: CoreStats::default(),
+            hierarchy: HierarchyStats::default(),
+            breakdown: MissBreakdown::default(),
+            metrics: MetricsCollector::new(),
+            victim: None,
+            victim_swap_fills: None,
+            timeliness: TimelinessStats::default(),
+            correlation: None,
+            dbcp: None,
+            pf_queue_discards: 0,
+            dram: None,
+            sampled: None,
+            coherence: None,
+        }
+    }
+}
+
+/// Sums every counter block of `other`, scaled by `w`; `workload`,
+/// `sampled` and `coherence` stay as they are. Sampled runs add their
+/// cluster representatives this way.
+impl WeightedSum for RunResult {
+    fn add_weighted(&mut self, other: &Self, w: u64) {
+        self.core.add_weighted(&other.core, w);
+        self.hierarchy.add_weighted(&other.hierarchy, w);
+        self.breakdown.add_weighted(&other.breakdown, w);
+        // Distribution-shaped stats only expose merging; applying the
+        // weight as repeated merges keeps every histogram's counts
+        // consistent with the scaled counters. Sampling weights are
+        // interval counts (budget / interval), so this stays small.
+        for _ in 0..w {
+            self.metrics.merge(&other.metrics);
+            self.timeliness.merge(&other.timeliness);
+        }
+        self.victim.add_weighted(&other.victim, w);
+        self.victim_swap_fills
+            .add_weighted(&other.victim_swap_fills, w);
+        self.correlation.add_weighted(&other.correlation, w);
+        self.dbcp.add_weighted(&other.dbcp, w);
+        self.pf_queue_discards
+            .add_weighted(&other.pf_queue_discards, w);
+        self.dram.add_weighted(&other.dram, w);
     }
 }
 
@@ -121,7 +225,7 @@ impl Snapshot for RunResult {
             // the backend plane, and every fixed-latency run since).
             dram: match v.get("dram") {
                 Err(_) | Ok(Json::Null) => None,
-                Ok(other) => Some(crate::dram::DramStats::from_json(other)?),
+                Ok(other) => Some(DramStats::from_json(other)?),
             },
             sampled: match v.get("sampled") {
                 Err(_) | Ok(Json::Null) => None,
@@ -159,7 +263,34 @@ pub fn run_workload<W: Workload + ?Sized>(
     cfg: SystemConfig,
     instructions: u64,
 ) -> RunResult {
-    let checked = crate::oracle::lockstep_check_enabled();
+    dispatch(
+        workload,
+        cfg,
+        instructions,
+        crate::oracle::lockstep_check_enabled(),
+    )
+}
+
+/// Like [`run_workload`], but with the functional-oracle lockstep checker
+/// installed (when the configuration supports it): every access is
+/// replayed into a timing-free reference model and any divergence panics
+/// with a diagnostic report. See [`crate::oracle`].
+pub fn run_workload_checked<W: Workload + ?Sized>(
+    workload: &mut W,
+    cfg: SystemConfig,
+    instructions: u64,
+) -> RunResult {
+    dispatch(workload, cfg, instructions, true)
+}
+
+/// The one run ladder behind [`run_workload`] and
+/// [`run_workload_checked`]: multi-core, then sampled, then full.
+fn dispatch<W: Workload + ?Sized>(
+    workload: &mut W,
+    cfg: SystemConfig,
+    instructions: u64,
+    checked: bool,
+) -> RunResult {
     if cfg.cores > 1 {
         // Multi-core configurations run the MESI-coherent hierarchy.
         // Statistical sampling is ignored there; the missing `sampled`
@@ -182,28 +313,6 @@ pub fn run_workload<W: Workload + ?Sized>(
         SimSystem::new(cfg)
     };
     sys.run(workload, instructions)
-}
-
-/// Like [`run_workload`], but with the functional-oracle lockstep checker
-/// installed (when the configuration supports it): every access is
-/// replayed into a timing-free reference model and any divergence panics
-/// with a diagnostic report. See [`crate::oracle`].
-pub fn run_workload_checked<W: Workload + ?Sized>(
-    workload: &mut W,
-    cfg: SystemConfig,
-    instructions: u64,
-) -> RunResult {
-    if cfg.cores > 1 {
-        return crate::multicore::run_multicore(workload, cfg, instructions, true);
-    }
-    if let Some(sc) = cfg.sample {
-        if crate::oracle::FunctionalOracle::supports(&cfg) {
-            if let Some(r) = crate::sample::run_sampled(workload, cfg, sc, instructions, true) {
-                return r;
-            }
-        }
-    }
-    SimSystem::checked(cfg).run(workload, instructions)
 }
 
 /// A constructed simulation — core plus memory system — with an explicit
