@@ -88,8 +88,7 @@ impl GenerationRecord {
 /// Tracks generations for every frame of one cache plus per-line history.
 ///
 /// An alias of the unified metadata plane — see
-/// [`LinePlane`](crate::meta::LinePlane) for the full API (the plane also
-/// records L2-side access intervals).
+/// [`LinePlane`](crate::meta::LinePlane) for the full API.
 pub type GenerationTracker = crate::meta::LinePlane;
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use std::collections::BinaryHeap;
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
-    Cycle, Dbcp, FullyAssocShadow, GenerationTracker, GlobalTicker, LineSet, MetricsCollector,
-    MissBreakdown, PrefetchQueue, TimekeepingPrefetcher, TimelinessStats,
+    Cycle, FullyAssocShadow, GlobalTicker, LineSet, MetricsCollector, MissBreakdown, PrefetchQueue,
+    TimelinessStats,
 };
 
 use crate::bus::Bus;
@@ -32,10 +32,7 @@ use crate::obs::{
     self, ProfStage, ProfileReport, Profiler, TraceCategories, TraceObserver, TraceRecord,
 };
 use crate::oracle::{FunctionalOracle, LockstepChecker, SimLevel, SimObservation};
-use crate::pipeline::{
-    GenObserver, MetricsObserver, Observers, OracleTap, PendingPf, PipelineEvent,
-    PredictorObserver, PrefetcherImpl, TapEvent, VictimObserver, VictimUnit,
-};
+use crate::pipeline::{Observers, PendingPf, PipelineEvent, PrefetcherImpl, TapEvent};
 use crate::trace::MemRef;
 
 /// Result of one data-cache access.
@@ -102,6 +99,14 @@ impl HierarchyStats {
             0.0
         } else {
             self.l1_misses() as f64 / self.l1_accesses as f64
+        }
+    }
+
+    /// Counts one address-prediction outcome scored at a fill, if any.
+    pub(crate) fn score_addr(&mut self, correct: Option<bool>) {
+        if let Some(correct) = correct {
+            self.addr_predictions += 1;
+            self.addr_correct += u64::from(correct);
         }
     }
 
@@ -210,47 +215,15 @@ impl MemorySystem {
     pub fn new(cfg: SystemConfig) -> Self {
         let m = &cfg.machine;
         let num_frames = m.l1d.num_frames() as usize;
-        let num_sets = m.l1d.num_sets() as usize;
-        let collect = cfg.collect_metrics;
         let ticker = GlobalTicker::new(m.tick_period);
-        let victim = VictimUnit::new(&cfg, ticker);
-        let prefetcher = match cfg.prefetch {
-            PrefetchMode::None => PrefetcherImpl::None,
-            PrefetchMode::Timekeeping(tcfg) => {
-                PrefetcherImpl::Tk(TimekeepingPrefetcher::new(m.l1d, tcfg, ticker))
-            }
-            PrefetchMode::Dbcp(dcfg) => PrefetcherImpl::Dbcp(Dbcp::new(dcfg, num_frames)),
-            PrefetchMode::Markov(mcfg) => PrefetcherImpl::Markov(timekeeping::Markov::new(mcfg)),
-            PrefetchMode::Stride(scfg) => {
-                PrefetcherImpl::Stride(timekeeping::StridePrefetcher::new(scfg, m.l1d))
-            }
-        };
-        let obs = Observers {
-            gens: GenObserver {
-                plane: GenerationTracker::new(num_frames),
-                collect,
-            },
-            metrics: MetricsObserver {
-                collector: MetricsCollector::new(),
-                l2_access_interval: timekeeping::Histogram::paper_x1000(),
-                l2_monitor: timekeeping::L2IntervalMonitor::new(m.l2, ticker, 16_384),
-                collect,
-            },
-            predictors: PredictorObserver {
-                prefetcher,
-                addr_pred: vec![None; num_frames],
-                geom: m.l1d,
-            },
-            victim: VictimObserver { unit: victim },
-            oracle: OracleTap::default(),
-            trace: obs::trace_from_global(m.l1d),
-        };
+        let mut obs = Observers::new(&cfg, ticker);
+        obs.trace = obs::trace_from_global(m.l1d);
         MemorySystem {
             ticker,
             l1d: SetAssocCache::new(m.l1d),
             l2: SetAssocCache::new(m.l2),
             obs,
-            shadow: FullyAssocShadow::new(m.l1d.num_frames() as usize),
+            shadow: FullyAssocShadow::new(num_frames),
             demand_mshrs: MshrFile::new(m.demand_mshrs),
             prefetch_mshrs: MshrFile::new(m.prefetch_mshrs),
             l1l2_bus: Bus::new(m.l1l2_bus_occupancy),
@@ -258,7 +231,7 @@ impl MemorySystem {
             backend: crate::dram::build_backend(cfg.memory, m.mem_latency),
             pf_queue: PrefetchQueue::new(m.prefetch_queue),
             inflight_pf: BinaryHeap::new(),
-            pending_pf: vec![None; num_sets],
+            pending_pf: vec![None; m.l1d.num_sets() as usize],
             timeliness: TimelinessStats::new(),
             cold_seen: LineSet::default(),
             last_tick: 0,
@@ -392,19 +365,6 @@ impl MemorySystem {
         &self.obs.metrics.collector
     }
 
-    /// Access intervals observed at the L2 (one sample per repeat L1 miss
-    /// of a line). Per §3, this distribution coincides with the L1 reload
-    /// intervals — see `l2_access_interval_equals_l1_reload_interval`.
-    pub fn l2_access_intervals(&self) -> &timekeeping::Histogram {
-        &self.obs.metrics.l2_access_interval
-    }
-
-    /// Prediction scores of the hardware L2 interval monitor (§4.1's
-    /// L2-side conflict predictor, with real counter quantization).
-    pub fn l2_monitor_score(&self) -> &timekeeping::AccuracyCoverage {
-        self.obs.metrics.l2_monitor.score()
-    }
-
     /// Mutable access to the metrics, so a finished run can move them out
     /// without cloning the histograms.
     pub fn metrics_mut(&mut self) -> &mut MetricsCollector {
@@ -509,11 +469,7 @@ impl MemorySystem {
                 self.bank_decay_off_time(frame, now);
             }
         }
-        for rec in self.obs.gens.plane.flush(now) {
-            if self.cfg.collect_metrics {
-                self.obs.metrics.collector.on_generation(&rec);
-            }
-        }
+        self.obs.flush(now);
         self.prof_rec(ProfStage::Finish, t0);
         self.finish_obs();
     }
@@ -911,29 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_monitor_tracks_conflict_misses() {
-        // A conflict ping-pong between two aliasing lines, slow enough that
-        // MSHRs expire: the L2 monitor must flag the short re-access
-        // intervals as conflicts with high accuracy.
-        let mut sys = base_system();
-        let a = mref(0x40);
-        let b = mref(0x40 + 32 * 1024);
-        let mut now = 0u64;
-        for _ in 0..200 {
-            sys.access(&a, false, Cycle::new(now));
-            sys.access(&b, false, Cycle::new(now + 600));
-            now += 1200;
-        }
-        let score = sys.l2_monitor_score();
-        assert!(score.observed() > 100, "monitor must score misses");
-        assert!(
-            score.accuracy().unwrap() > 0.9,
-            "short L2 intervals must flag conflicts: {}",
-            score.accuracy().unwrap()
-        );
-    }
-
-    #[test]
     fn dirty_evictions_write_back() {
         let mut sys = base_system();
         // Store to a line, then evict it with the conflicting address.
@@ -974,18 +907,27 @@ mod tests {
     #[test]
     fn l2_access_interval_equals_l1_reload_interval() {
         // The paper's §3 identity, demonstrated mechanically: sweep a
-        // footprint that thrashes the L1 so lines reload repeatedly.
+        // footprint that thrashes the L1 so lines reload repeatedly. Each
+        // L1 miss is an L2 access; the interval between a line's
+        // successive misses is its L2 access interval.
         let mut sys = base_system();
+        let mut l2 = timekeeping::Histogram::paper_x1000();
+        let mut last_miss = std::collections::HashMap::new();
         let mut now = Cycle::new(0);
         for _ in 0..6 {
             for i in 0..4096u64 {
+                let a = mref(0x40 + i * 32);
                 sys.advance(now);
-                sys.access(&mref(0x40 + i * 32), false, now);
+                if !sys.access(&a, false, now).l1_hit {
+                    let line = sys.cfg.machine.l1d.line_of(a.addr);
+                    if let Some(prev) = last_miss.insert(line, now) {
+                        l2.record(now.since(prev));
+                    }
+                }
                 now += 3;
             }
         }
         sys.finish(now);
-        let l2 = sys.l2_access_intervals();
         let reload = &sys.metrics().reload;
         assert!(l2.total() > 0);
         assert_eq!(
@@ -994,6 +936,8 @@ mod tests {
             "one reload per repeat L2 access"
         );
         assert_eq!(l2.mean(), reload.mean());
+        assert_eq!(l2.min(), reload.min());
+        assert_eq!(l2.max(), reload.max());
     }
 
     #[test]

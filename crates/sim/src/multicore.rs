@@ -3,10 +3,11 @@
 //!
 //! This module generalizes the single-core machine of
 //! [`crate::hierarchy`] to `--cores=N` (see [`SystemConfig::cores`]).
-//! Each core keeps the full single-core timekeeping plane — per-frame
-//! generation tracking, ground-truth miss classification, metric
-//! distributions, optional victim cache and predict-only timekeeping
-//! prefetcher scoring — while a snooping MESI protocol arbitrated by a
+//! Each core runs the single-core observer plane of [`crate::pipeline`]
+//! (generation tracking, metric distributions, predict-only timekeeping
+//! prefetcher scoring, the victim cache and its admission filter) on the
+//! same Hit, Miss, Fill and Evict events, beside its own ground-truth
+//! miss classification. A snooping MESI protocol arbitrated by a
 //! [`SnoopBus`] keeps the private L1s coherent:
 //!
 //! * **BusRd** (read miss): data comes from the owning core's modified
@@ -19,10 +20,11 @@
 //!   of the departing L2 block in every core.
 //!
 //! The timekeeping consequence is a second way for a generation to die:
-//! [`EvictCause::Invalidate`] (coherence or inclusion kill) versus
-//! [`EvictCause::Demand`] (replacement). [`CoherenceStats`] splits
-//! live/dead time along that axis, which is what the `mesi_compare`
-//! report plots.
+//! a coherence or inclusion kill emits an Evict event with
+//! [`EvictCause::Invalidate`], which the victim filter is never offered,
+//! where a replacement emits [`EvictCause::Demand`]. [`CoherenceStats`]
+//! splits live/dead time along that axis, which is what the
+//! `mesi_compare` report plots.
 //!
 //! Determinism and clock hopping: [`MultiCoreSystem::run`] hands the N
 //! cores to the one core loop of [`crate::core`] (a single-core run is
@@ -41,21 +43,21 @@
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
-    Addr, CacheGeometry, CorrelationStats, Cycle, EvictCause, EvictionInfo, FullyAssocShadow,
-    GenerationRecord, GenerationTracker, GlobalTicker, LineAddr, LineMap, LineSet,
-    MetricsCollector, MissBreakdown, MissKind, PrefetchRequest, TimekeepingPrefetcher, VictimStats,
+    Addr, CorrelationStats, Cycle, EvictCause, FullyAssocShadow, GenerationRecord, GlobalTicker,
+    LineAddr, LineMap, LineSet, MetricsCollector, MissBreakdown, PrefetchRequest, VictimStats,
 };
 
 use crate::bus::{Bus, SnoopBus};
 use crate::cache::{ProbeResult, SetAssocCache};
-use crate::config::{PrefetchMode, SystemConfig, VictimMode};
+use crate::config::{SystemConfig, VictimMode};
 use crate::core::{CorePort, CoreStats, OooCore};
 use crate::dram::MemBackend;
 use crate::hierarchy::HierarchyStats;
 use crate::obs::{self, TraceObserver};
 use crate::oracle::{ShadowTags, ShadowVictim};
 use crate::pipeline::{
-    C2cEvent, CoherenceKind, InvalidateEvent, MemObserver, Reactions, SnoopEvent, VictimUnit,
+    C2cEvent, CoherenceKind, EvictEvent, FillEvent, HitEvent, InvalidateEvent, MemObserver,
+    MissEvent, Observers, PrefetcherImpl, Reactions, SnoopEvent, VictimUnit,
 };
 use crate::system::{RunResult, WeightedSum};
 use crate::trace::{MemRef, Workload};
@@ -196,32 +198,21 @@ impl Snapshot for CoherenceStats {
 
 // ---------------------------------------------------------- per-core plane
 
-/// Predict-only timekeeping-prefetcher scoring state of one core.
-#[derive(Debug)]
-struct TkPlane {
-    pred: TimekeepingPrefetcher,
-    /// Outstanding address prediction per frame, scored at the next fill
-    /// (mirrors the single-core `PredictorObserver`).
-    addr_pred: Vec<Option<u64>>,
-    /// Cycle up to which global ticks have been applied.
-    last_sync: Cycle,
-    /// Reusable buffer for tick-fired requests (discarded: predict-only).
-    scratch: Vec<PrefetchRequest>,
-}
-
-/// One core's private slice of the hierarchy: L1 tags, MESI states,
-/// generation tracking, classification shadow, metrics, optional victim
-/// cache, optional predict-only prefetcher scoring.
+/// One core's private slice of the hierarchy: L1 tags, MESI states, the
+/// classification shadow and the single-core observer plane (generation
+/// tracking, metrics, predict-only prefetcher scoring, victim cache).
 #[derive(Debug)]
 struct CorePlane {
     l1: SetAssocCache,
     /// MESI state per L1 frame (parallel to the tag array).
     mesi: Vec<Mesi>,
-    gens: GenerationTracker,
     shadow: FullyAssocShadow,
-    metrics: MetricsCollector,
-    victim: Option<VictimUnit>,
-    tk: Option<TkPlane>,
+    obs: Observers,
+    /// Cycle up to which global ticks have been applied to a predict-only
+    /// timekeeping prefetcher.
+    last_sync: Cycle,
+    /// Reusable buffer for tick-fired requests (discarded: predict-only).
+    tick_scratch: Vec<PrefetchRequest>,
     /// In-flight demand fills: line → data-ready cycle. Tags allocate at
     /// miss time (as in the single-core model), so a subsequent access
     /// to an in-flight line hits in the tag array; this map supplies the
@@ -232,37 +223,16 @@ struct CorePlane {
     stats: HierarchyStats,
 }
 
-/// What [`CorePlane::kill_copy`] found and did.
-struct KillOutcome {
-    /// The L1 frame that held the copy (`None` = victim-cache copy).
-    frame: Option<usize>,
-    /// Whether the killed L1 copy was modified (needs a flush).
-    was_modified: bool,
-    /// The generation the invalidation closed, if one was open.
-    rec: Option<GenerationRecord>,
-}
-
 impl CorePlane {
     fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
-        let m = &cfg.machine;
-        let num_frames = m.l1d.num_frames() as usize;
-        let tk = match cfg.prefetch {
-            PrefetchMode::Timekeeping(tcfg) => Some(TkPlane {
-                pred: TimekeepingPrefetcher::new(m.l1d, tcfg, ticker),
-                addr_pred: vec![None; num_frames],
-                last_sync: Cycle::ZERO,
-                scratch: Vec::with_capacity(num_frames),
-            }),
-            _ => None,
-        };
+        let num_frames = cfg.machine.l1d.num_frames() as usize;
         CorePlane {
-            l1: SetAssocCache::new(m.l1d),
+            l1: SetAssocCache::new(cfg.machine.l1d),
             mesi: vec![Mesi::Invalid; num_frames],
-            gens: GenerationTracker::new(num_frames),
             shadow: FullyAssocShadow::new(num_frames),
-            metrics: MetricsCollector::new(),
-            victim: VictimUnit::new(cfg, ticker),
-            tk,
+            obs: Observers::new(cfg, ticker),
+            last_sync: Cycle::ZERO,
+            tick_scratch: Vec::new(),
             pending: LineMap::default(),
             inval_lost: LineSet::default(),
             stats: HierarchyStats::default(),
@@ -274,95 +244,25 @@ impl CorePlane {
     /// Lazy, cycle-count-based synchronization keeps hop and per-cycle
     /// stepping bit-identical.
     fn sync_ticks(&mut self, now: Cycle, ticker: &GlobalTicker) {
-        if let Some(tk) = &mut self.tk {
-            let n = ticker.ticks_between(tk.last_sync, now);
-            for _ in 0..n {
-                tk.scratch.clear();
-                tk.pred.tick_into(&mut tk.scratch);
+        if let PrefetcherImpl::Tk(p) = &mut self.obs.predictors.prefetcher {
+            for _ in 0..ticker.ticks_between(self.last_sync, now) {
+                self.tick_scratch.clear();
+                p.tick_into(&mut self.tick_scratch);
             }
-            tk.scratch.clear();
-            tk.last_sync = now;
+            self.tick_scratch.clear();
+            self.last_sync = now;
         }
     }
 
-    /// Ends the generation in `frame` at `at`, feeding the metrics plane.
-    fn close_generation(
-        &mut self,
-        frame: usize,
-        at: Cycle,
-        cause: EvictCause,
-        collect: bool,
-    ) -> Option<GenerationRecord> {
-        let rec = self.gens.evict(frame, at, cause)?;
-        if collect {
-            self.metrics.on_generation(&rec);
-        }
-        Some(rec)
+    /// The victim cache and its filter, if configured.
+    fn vc(&mut self) -> Option<&mut VictimUnit> {
+        self.obs.victim.unit.as_mut()
     }
 
-    /// Starts a generation in `frame` and scores/updates the predict-only
-    /// prefetcher exactly as the single-core `PredictorObserver` does.
-    fn fill_bookkeeping(
-        &mut self,
-        frame: usize,
-        line: LineAddr,
-        now: Cycle,
-        kind: MissKind,
-        collect: bool,
-        geom: &CacheGeometry,
-    ) {
-        let history = self.gens.line_meta(line).copied();
-        let reload = self.gens.fill(frame, line, now);
-        if collect {
-            self.metrics.on_miss(kind, history.as_ref(), reload);
-        }
-        if let Some(tk) = &mut self.tk {
-            let set = geom.index_of_line(line);
-            let tag = geom.tag_of_line(line);
-            if let Some(pred) = tk.addr_pred[frame].take() {
-                self.stats.addr_predictions += 1;
-                if pred == tag {
-                    self.stats.addr_correct += 1;
-                }
-            }
-            tk.pred.on_fill(frame, set, tag);
-            tk.addr_pred[frame] = tk.pred.predicted_next(frame);
-        }
-    }
-
-    /// Kills this core's copy of `line` (L1 frame or victim-cache entry),
-    /// closing the open generation with [`EvictCause::Invalidate`].
-    /// Returns `None` if the core holds no copy.
-    fn kill_copy(
-        &mut self,
-        line: LineAddr,
-        addr: Addr,
-        at: Cycle,
-        collect: bool,
-    ) -> Option<KillOutcome> {
-        if let Some(frame) = self.l1.peek(addr) {
-            let was_modified = self.mesi[frame] == Mesi::Modified;
-            self.l1.invalidate(frame);
-            self.mesi[frame] = Mesi::Invalid;
-            let rec = self.close_generation(frame, at, EvictCause::Invalidate, collect);
-            self.inval_lost.insert(line.get());
-            return Some(KillOutcome {
-                frame: Some(frame),
-                was_modified,
-                rec,
-            });
-        }
-        if let Some(v) = &mut self.victim {
-            if v.cache.invalidate(line) {
-                self.inval_lost.insert(line.get());
-                return Some(KillOutcome {
-                    frame: None,
-                    was_modified: false,
-                    rec: None,
-                });
-            }
-        }
-        None
+    /// Whether this core holds a copy of `line` (L1 or victim cache).
+    fn holds(&self, addr: Addr, line: LineAddr) -> bool {
+        let vc = self.obs.victim.unit.as_ref();
+        self.l1.peek(addr).is_some() || vc.is_some_and(|v| v.cache.contains(line))
     }
 }
 
@@ -384,7 +284,6 @@ struct AccessReport {
     core: usize,
     line: LineAddr,
     is_store: bool,
-    level: ServiceLevel,
     /// L1 line displaced by the fill, with the victim-filter admission
     /// decision (policy input the mirror cannot recompute).
     l1_victim: Option<(LineAddr, bool)>,
@@ -481,6 +380,22 @@ impl CoherentChecker {
         );
     }
 
+    /// Fails with `what` unless the mirror's `expected` value is what the
+    /// timing model `reported`.
+    fn agree<T: PartialEq + std::fmt::Debug>(
+        &self,
+        r: &AccessReport,
+        what: &str,
+        expected: T,
+        reported: T,
+    ) {
+        if expected != reported {
+            let detail =
+                format!("oracle expected {expected:?}, timing model reported {reported:?}");
+            self.fail(r, what, detail);
+        }
+    }
+
     /// The cores other than `core`.
     fn others(&self, core: usize) -> impl Iterator<Item = &MirrorCore> {
         self.cores
@@ -490,8 +405,9 @@ impl CoherentChecker {
             .map(|(_, m)| m)
     }
 
-    /// Replays one access against the mirror and asserts agreement.
-    fn verify(&mut self, r: &AccessReport) {
+    /// Replays one access, which the timing model serviced at
+    /// `reported`, against the mirror and asserts agreement.
+    fn verify(&mut self, r: &AccessReport, reported: ServiceLevel) {
         let line = r.line;
         let addr = self.cores[r.core].l1.geom.addr_of_line(line);
         let l2_line = self.l2.geom.line_of(addr);
@@ -512,16 +428,7 @@ impl CoherentChecker {
         } else {
             ServiceLevel::Memory
         };
-        if level != r.level {
-            self.fail(
-                r,
-                "service level mismatch",
-                format!(
-                    "oracle expected {level:?}, timing model reported {:?}",
-                    r.level
-                ),
-            );
-        }
+        self.agree(r, "service level mismatch", level, reported);
 
         // 2. Independently determine the coherence-invalidation set.
         let mut expected: Vec<(usize, u64)> = if r.is_store {
@@ -535,13 +442,7 @@ impl CoherentChecker {
         expected.sort_unstable();
         let mut got: Vec<(usize, u64)> = r.invalidated.iter().map(|&(c, l)| (c, l.get())).collect();
         got.sort_unstable();
-        if expected != got {
-            self.fail(
-                r,
-                "invalidation set mismatch",
-                format!("oracle expected {expected:?}, timing model reported {got:?}"),
-            );
-        }
+        self.agree(r, "invalidation set mismatch", expected, got);
 
         // 3. Apply the transition.
         let new_state = |mirror: &Self| {
@@ -590,16 +491,7 @@ impl CoherentChecker {
                 }
                 if level == ServiceLevel::Memory {
                     let evicted = self.l2.fill(l2_line);
-                    if evicted != r.l2_victim {
-                        self.fail(
-                            r,
-                            "L2 replacement victim mismatch",
-                            format!(
-                                "oracle expected {evicted:?}, timing model reported {:?}",
-                                r.l2_victim
-                            ),
-                        );
-                    }
+                    self.agree(r, "L2 replacement victim mismatch", evicted, r.l2_victim);
                     if let Some(e2) = evicted {
                         self.back_invalidate(e2);
                     }
@@ -634,13 +526,7 @@ impl CoherentChecker {
     fn check_l1_victim(&mut self, r: &AccessReport, swap: bool) {
         let expected = self.cores[r.core].l1.peek_victim(r.line);
         let reported = r.l1_victim.map(|(l, _)| l);
-        if expected != reported {
-            self.fail(
-                r,
-                "L1 replacement victim mismatch",
-                format!("oracle expected {expected:?}, timing model reported {reported:?}"),
-            );
-        }
+        self.agree(r, "L1 replacement victim mismatch", expected, reported);
         if let Some(victim) = expected {
             let me = &mut self.cores[r.core];
             me.drop_l1(victim);
@@ -685,7 +571,9 @@ pub struct MultiCoreSystem {
     coh: CoherenceStats,
     trace: Option<Box<TraceObserver>>,
     checker: Option<Box<CoherentChecker>>,
-    collect: bool,
+    /// What the access in progress reports to the checker (`None` when
+    /// no checker is installed).
+    report: Option<AccessReport>,
     finished: bool,
 }
 
@@ -703,13 +591,12 @@ impl MultiCoreSystem {
         );
         let m = cfg.machine;
         let ticker = GlobalTicker::new(m.tick_period);
-        let cores = (0..cfg.cores)
-            .map(|_| CorePlane::new(&cfg, ticker))
-            .collect();
         MultiCoreSystem {
             ticker,
+            cores: (0..cfg.cores)
+                .map(|_| CorePlane::new(&cfg, ticker))
+                .collect(),
             cfg,
-            cores,
             l2: SetAssocCache::new(m.l2),
             // The snoop bus doubles as the L1↔L2 data path, so coherence
             // transactions occupy it for one block transfer each.
@@ -719,7 +606,7 @@ impl MultiCoreSystem {
             coh: CoherenceStats::default(),
             trace: obs::trace_from_global(m.l1d),
             checker: None,
-            collect: cfg.collect_metrics,
+            report: None,
             finished: false,
         }
     }
@@ -761,59 +648,31 @@ impl MultiCoreSystem {
 
     /// Hierarchy counters summed over all cores.
     pub fn stats(&self) -> HierarchyStats {
-        let mut sum = HierarchyStats::default();
-        for c in &self.cores {
-            sum.add_weighted(&c.stats, 1);
-        }
-        sum
+        crate::system::sum(self.cores.iter().map(|c| &c.stats))
     }
 
-    fn emit_snoop(&mut self, ev: SnoopEvent) {
+    /// Hands a coherence event to the shared trace observer, if one is
+    /// installed.
+    fn trace(&mut self, emit: impl FnOnce(&mut TraceObserver, &mut Reactions)) {
         if let Some(t) = self.trace.as_deref_mut() {
-            let mut rx = Reactions::default();
-            t.on_snoop(&ev, &mut rx);
-        }
-    }
-
-    fn emit_invalidate(&mut self, ev: InvalidateEvent) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            let mut rx = Reactions::default();
-            t.on_invalidate(&ev, &mut rx);
-        }
-    }
-
-    fn emit_c2c(&mut self, ev: C2cEvent) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            let mut rx = Reactions::default();
-            t.on_c2c(&ev, &mut rx);
+            emit(t, &mut Reactions::default());
         }
     }
 
     /// The core (and its L1 frame) holding a modified copy of `addr`,
     /// excluding `except`. At most one M copy can exist.
     fn m_owner(&self, except: usize, addr: Addr) -> Option<(usize, usize)> {
-        for (i, p) in self.cores.iter().enumerate() {
-            if i == except {
-                continue;
-            }
-            if let Some(f) = p.l1.peek(addr) {
-                if p.mesi[f] == Mesi::Modified {
-                    return Some((i, f));
-                }
-            }
-        }
-        None
+        let owned = |p: &CorePlane| p.l1.peek(addr).filter(|&f| p.mesi[f] == Mesi::Modified);
+        (0..self.cores.len())
+            .filter(|&i| i != except)
+            .find_map(|i| Some((i, owned(&self.cores[i])?)))
     }
 
     /// Whether any other core holds a copy of `line` (L1 or victim
     /// cache). Sharer discovery scans the actual structures — there is
     /// no directory to go stale.
     fn other_copy_exists(&self, except: usize, addr: Addr, line: LineAddr) -> bool {
-        self.cores.iter().enumerate().any(|(i, p)| {
-            i != except
-                && (p.l1.peek(addr).is_some()
-                    || p.victim.as_ref().is_some_and(|v| v.cache.contains(line)))
-        })
+        (0..self.cores.len()).any(|i| i != except && self.cores[i].holds(addr, line))
     }
 
     /// Records a closed generation's death in the coherence split.
@@ -843,58 +702,151 @@ impl MultiCoreSystem {
     }
 
     /// Kills core `c`'s copy of `line` (L1 frame or victim-cache entry),
-    /// if it holds one, with the coherence-plane bookkeeping. `recall`
-    /// marks an inclusion recall: the L2 copy is leaving too, so dirty
-    /// data goes straight to memory. Otherwise this is a coherence
-    /// invalidation and dirty data drains to the L2.
+    /// if it holds one, with the coherence-plane bookkeeping: an L1
+    /// copy's generation ends with an [`EvictCause::Invalidate`] Evict
+    /// event. `recall` marks an inclusion recall: the L2 copy is leaving
+    /// too, so dirty data goes straight to memory. Otherwise this is a
+    /// coherence invalidation and dirty data drains to the L2.
     fn kill_in(&mut self, c: usize, line: LineAddr, addr: Addr, at: Cycle, recall: bool) -> bool {
-        let Some(k) = self.cores[c].kill_copy(line, addr, at, self.collect) else {
+        let p = &mut self.cores[c];
+        let frame = p.l1.peek(addr);
+        if let Some(f) = frame {
+            let was_modified = p.mesi[f] == Mesi::Modified;
+            p.l1.invalidate(f);
+            p.mesi[f] = Mesi::Invalid;
+            let ev = EvictEvent::new(p.l1.geometry(), f, line, EvictCause::Invalidate, None, at);
+            let rx = p.obs.evict(&ev);
+            if was_modified {
+                p.stats.l1_writebacks += 1;
+                if recall {
+                    self.backend.write(addr, at);
+                } else {
+                    self.flush_to_l2(addr);
+                }
+            }
+            if let Some(rec) = &rx.generation {
+                self.record_death(rec);
+            }
+        } else if p.vc().is_some_and(|v| v.cache.invalidate(line)) {
+            self.coh.vc_invalidations += 1;
+        } else {
             return false;
-        };
+        }
+        self.cores[c].inval_lost.insert(line.get());
         if recall {
             self.coh.inclusion_invalidations += 1;
         } else {
             self.coh.coherence_invalidations += 1;
         }
-        if k.frame.is_none() {
-            self.coh.vc_invalidations += 1;
-        }
-        if k.was_modified {
-            self.cores[c].stats.l1_writebacks += 1;
-            if recall {
-                self.backend.write(addr, at);
-            } else {
-                self.flush_to_l2(addr);
-            }
-        }
-        if let Some(rec) = &k.rec {
-            self.record_death(rec);
-        }
-        self.emit_invalidate(InvalidateEvent {
+        let ev = InvalidateEvent {
             line,
             owner: c as u32,
-            frame: k.frame,
+            frame,
             at,
-        });
+        };
+        self.trace(|t, rx| t.on_invalidate(&ev, rx));
         true
     }
 
-    /// Invalidates every other core's copy of `line`, returning the kill
-    /// list for the checker report.
-    fn invalidate_others(
-        &mut self,
-        except: usize,
-        line: LineAddr,
-        addr: Addr,
-        at: Cycle,
-    ) -> Vec<(usize, LineAddr)> {
-        let mut killed = Vec::new();
+    /// Invalidates every other core's copy of `line`, listing the kills
+    /// in the checker report.
+    fn invalidate_others(&mut self, except: usize, addr: Addr, at: Cycle) {
+        let line = self.cfg.machine.l1d.line_of(addr);
         for c in (0..self.cores.len()).filter(|&c| c != except) {
             if self.kill_in(c, line, addr, at, false) {
-                killed.push((c, line));
+                if let Some(r) = self.report.as_mut() {
+                    r.invalidated.push((c, line));
+                }
             }
         }
-        killed
+    }
+
+    /// The upgrade transaction: `core` claims ownership of a copy it
+    /// already holds (a write hit on a shared line, or a store swapped in
+    /// from the victim cache while others share it), and every other copy
+    /// is invalidated.
+    fn upgrade(&mut self, core: usize, addr: Addr, now: Cycle) {
+        let grant = self.snoop_bus.grant_upgrade(now);
+        self.coh.bus_upgrades += 1;
+        let ev = SnoopEvent {
+            line: self.cfg.machine.l1d.line_of(addr),
+            requester: core as u32,
+            kind: CoherenceKind::Upgrade,
+            at: grant,
+        };
+        self.trace(|t, rx| t.on_snoop(&ev, rx));
+        self.invalidate_others(core, addr, grant);
+    }
+
+    /// Closes the displaced resident of `core`'s L1 `frame` at `now`: a
+    /// Demand-cause Evict event ends its generation (and offers it to the
+    /// victim filter), dirty data drains to the L2 and the frame is
+    /// cleared. Returns the filter's admission verdict.
+    fn close_displaced(
+        &mut self,
+        core: usize,
+        frame: usize,
+        displaced: LineAddr,
+        incoming_tag: Option<u64>,
+        now: Cycle,
+    ) -> bool {
+        let geom = self.cfg.machine.l1d;
+        let p = &mut self.cores[core];
+        let dirty = p.l1.frame_dirty(frame);
+        p.l1.invalidate(frame);
+        p.mesi[frame] = Mesi::Invalid;
+        let ev = EvictEvent::new(
+            &geom,
+            frame,
+            displaced,
+            EvictCause::Demand,
+            incoming_tag,
+            now,
+        );
+        let rx = p.obs.evict(&ev);
+        if dirty {
+            // The victim buffer holds clean data only; the L2 holds the
+            // line by inclusion.
+            p.stats.l1_writebacks += 1;
+            self.flush_to_l2(geom.addr_of_line(displaced));
+        }
+        if let Some(rec) = &rx.generation {
+            self.record_death(rec);
+        }
+        rx.vc_admitted == Some(true)
+    }
+
+    /// The install step of a miss: tags `mref`'s line into `core`'s L1
+    /// `frame` in its new MESI state (Modified for a store, else Shared
+    /// or Exclusive by whether another copy exists) and emits the Fill
+    /// event.
+    fn install(
+        &mut self,
+        core: usize,
+        mref: &MemRef,
+        frame: usize,
+        is_store: bool,
+        evicted: Option<LineAddr>,
+        now: Cycle,
+    ) {
+        let geom = self.cfg.machine.l1d;
+        let line = geom.line_of(mref.addr);
+        let state = if is_store {
+            Mesi::Modified
+        } else if self.other_copy_exists(core, mref.addr, line) {
+            Mesi::Shared
+        } else {
+            Mesi::Exclusive
+        };
+        let p = &mut self.cores[core];
+        p.l1.fill_frame(frame, mref.addr);
+        if is_store {
+            p.l1.mark_dirty(frame);
+        }
+        p.mesi[frame] = state;
+        let ev = FillEvent::new(&geom, frame, line, Some(mref.pc), evicted, now);
+        let rx = p.obs.fill(&ev);
+        p.stats.score_addr(rx.addr_scored);
     }
 
     /// Recalls both L1-sized halves of an evicted L2 line from every
@@ -913,357 +865,257 @@ impl MultiCoreSystem {
     /// One demand access by `core` at `now`. Returns the cycle at which
     /// the data is available to the core.
     pub fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
-        let m = self.cfg.machine;
-        let geom = m.l1d;
-        let addr = mref.addr;
-        let line = geom.line_of(addr);
-        let collect = self.collect;
-        let checking = self.checker.is_some();
-
         self.cores[core].sync_ticks(now, &self.ticker);
         self.cores[core].stats.l1_accesses += 1;
-
-        let mut report = checking.then(|| AccessReport {
-            core,
-            line,
-            is_store,
-            level: ServiceLevel::L1,
-            l1_victim: None,
-            l2_victim: None,
-            invalidated: Vec::new(),
-        });
-
-        let probe = self.cores[core].l1.probe(addr);
-        let ready = match probe {
+        if self.checker.is_some() {
+            self.report = Some(AccessReport {
+                core,
+                line: self.cfg.machine.l1d.line_of(mref.addr),
+                is_store,
+                l1_victim: None,
+                l2_victim: None,
+                invalidated: Vec::new(),
+            });
+        }
+        let (ready, level) = match self.cores[core].l1.probe(mref.addr) {
             ProbeResult::Hit(frame) => {
-                let plane = &mut self.cores[core];
-                plane.stats.l1_hits += 1;
-                let interval = plane.gens.hit(frame, now);
-                if collect {
-                    plane.metrics.on_access_interval(interval);
-                }
-                plane.shadow.on_access(line);
-                if let Some(tk) = &mut plane.tk {
-                    tk.pred.on_hit(frame);
-                }
-                // Hit-under-miss: the tag allocated at miss time, but the
-                // data may still be in flight.
-                let data_ready = plane
-                    .pending
-                    .get(&line.get())
-                    .copied()
-                    .filter(|&r| r > now.get());
-                if data_ready.is_none() {
-                    plane.pending.remove(&line.get());
-                }
-                if is_store {
-                    match self.cores[core].mesi[frame] {
-                        Mesi::Modified => {}
-                        Mesi::Exclusive => self.cores[core].mesi[frame] = Mesi::Modified,
-                        Mesi::Shared | Mesi::Invalid => {
-                            // Write hit on a shared copy: upgrade.
-                            let grant = self.snoop_bus.grant_upgrade(now);
-                            self.coh.bus_upgrades += 1;
-                            self.emit_snoop(SnoopEvent {
-                                line,
-                                requester: core as u32,
-                                kind: CoherenceKind::Upgrade,
-                                at: grant,
-                            });
-                            let killed = self.invalidate_others(core, line, addr, grant);
-                            if let Some(r) = report.as_mut() {
-                                r.invalidated = killed;
-                            }
-                            self.cores[core].mesi[frame] = Mesi::Modified;
-                        }
-                    }
-                    self.cores[core].l1.mark_dirty(frame);
-                }
-                let base = now + m.l1_hit_latency;
-                data_ready.map_or(base, |r| Cycle::new(r).max(base))
+                (self.hit(core, mref, frame, is_store, now), ServiceLevel::L1)
             }
             ProbeResult::Miss {
                 victim_frame,
                 evicted,
-            } => {
-                let plane = &mut self.cores[core];
-                let kind = plane.shadow.classify_miss(line);
-                if plane.inval_lost.remove(&line.get()) {
-                    self.coh.inval_refetches += 1;
-                }
-
-                // Victim-cache swap path: the buffered block returns to
-                // the L1 and the displaced resident enters the buffer
-                // unconditionally.
-                let vc_hit = self.cores[core]
-                    .victim
-                    .as_mut()
-                    .is_some_and(|v| v.cache.take(line));
-                if vc_hit {
-                    self.cores[core].stats.vc_hits += 1;
-                    if let Some(displaced) = evicted {
-                        let disp_addr = geom.addr_of_line(displaced);
-                        let dirty = self.cores[core].l1.frame_dirty(victim_frame);
-                        let rec = self.cores[core].close_generation(
-                            victim_frame,
-                            now,
-                            EvictCause::Demand,
-                            collect,
-                        );
-                        if let Some(rec) = &rec {
-                            self.record_death(rec);
-                        }
-                        if dirty {
-                            // The buffer holds clean data only: drain the
-                            // dirty copy to the L2 before it enters.
-                            self.cores[core].stats.l1_writebacks += 1;
-                            self.flush_to_l2(disp_addr);
-                        }
-                        let v = self.cores[core].victim.as_mut().expect("vc hit");
-                        v.cache.insert(displaced);
-                        v.swap_fills += 1;
-                        if let Some(r) = report.as_mut() {
-                            r.l1_victim = Some((displaced, true));
-                        }
-                    }
-                    self.cores[core].l1.fill_frame(victim_frame, addr);
-                    let others = self.other_copy_exists(core, addr, line);
-                    let state = if is_store {
-                        if others {
-                            let grant = self.snoop_bus.grant_upgrade(now);
-                            self.coh.bus_upgrades += 1;
-                            self.emit_snoop(SnoopEvent {
-                                line,
-                                requester: core as u32,
-                                kind: CoherenceKind::Upgrade,
-                                at: grant,
-                            });
-                            let killed = self.invalidate_others(core, line, addr, grant);
-                            if let Some(r) = report.as_mut() {
-                                r.invalidated = killed;
-                            }
-                        }
-                        Mesi::Modified
-                    } else if others {
-                        Mesi::Shared
-                    } else {
-                        Mesi::Exclusive
-                    };
-                    self.cores[core].mesi[victim_frame] = state;
-                    if is_store {
-                        self.cores[core].l1.mark_dirty(victim_frame);
-                    }
-                    self.cores[core].fill_bookkeeping(
-                        victim_frame,
-                        line,
-                        now,
-                        kind,
-                        collect,
-                        &geom,
-                    );
-                    if let Some(r) = report.as_mut() {
-                        r.level = ServiceLevel::VictimCache;
-                    }
-                    now + m.l1_hit_latency + 1
-                } else {
-                    // Full miss: a bus transaction services it.
-                    self.cores[core].stats.l2_accesses += 1;
-
-                    // Close and clear the victim frame first, so inclusion
-                    // recalls during the transaction cannot race with it.
-                    let mut victim_info = None;
-                    if let Some(victim_line) = evicted {
-                        let victim_addr = geom.addr_of_line(victim_line);
-                        let dirty = self.cores[core].l1.frame_dirty(victim_frame);
-                        self.cores[core].l1.invalidate(victim_frame);
-                        self.cores[core].mesi[victim_frame] = Mesi::Invalid;
-                        let rec = self.cores[core].close_generation(
-                            victim_frame,
-                            now,
-                            EvictCause::Demand,
-                            collect,
-                        );
-                        if let Some(rec) = &rec {
-                            self.record_death(rec);
-                        }
-                        if dirty {
-                            self.cores[core].stats.l1_writebacks += 1;
-                            self.flush_to_l2(victim_addr);
-                        }
-                        let mut admitted = false;
-                        if let (Some(rec), Some(v)) = (rec, self.cores[core].victim.as_mut()) {
-                            let info = EvictionInfo {
-                                line: rec.line,
-                                set_index: geom.index_of_line(rec.line),
-                                tag: geom.tag_of_line(rec.line),
-                                dead_time: rec.dead_time,
-                                live_time: rec.live_time,
-                                cause: rec.cause,
-                                reload_interval: rec.reload_interval,
-                                incoming_tag: geom.tag_of(addr),
-                            };
-                            admitted = v.cache.offer(v.filter.as_mut(), &info);
-                        }
-                        victim_info = Some((victim_line, admitted));
-                    }
-                    if let Some(r) = report.as_mut() {
-                        r.l1_victim = victim_info;
-                    }
-
-                    let (grant, tx_kind) = if is_store {
-                        self.coh.bus_read_exclusives += 1;
-                        (
-                            self.snoop_bus.grant_read_exclusive(now),
-                            CoherenceKind::BusRdX,
-                        )
-                    } else {
-                        self.coh.bus_reads += 1;
-                        (self.snoop_bus.grant_read(now), CoherenceKind::BusRd)
-                    };
-                    self.emit_snoop(SnoopEvent {
-                        line,
-                        requester: core as u32,
-                        kind: tx_kind,
-                        at: grant,
-                    });
-
-                    let m_owner = self.m_owner(core, addr);
-                    let others = self.other_copy_exists(core, addr, line);
-                    let l2_probe = self.l2.probe(addr);
-
-                    let data_ready = if let Some((owner, owner_frame)) = m_owner {
-                        // Cache-to-cache supply from the modified copy;
-                        // the flush also refreshes the L2's data.
-                        self.snoop_bus.note_c2c();
-                        self.coh.c2c_transfers += 1;
-                        self.emit_c2c(C2cEvent {
-                            line,
-                            from: owner as u32,
-                            to: core as u32,
-                            at: grant,
-                        });
-                        if let ProbeResult::Hit(f2) = l2_probe {
-                            self.l2.mark_dirty(f2);
-                        }
-                        if !is_store {
-                            // BusRd: the owner keeps a now-clean copy.
-                            // The flush cleaned it (a Shared line must
-                            // not write back again on eviction), but a
-                            // snoop is not a use by the owner, so its
-                            // LRU position stays put.
-                            self.cores[owner].stats.l1_writebacks += 1;
-                            self.cores[owner].mesi[owner_frame] = Mesi::Shared;
-                            self.cores[owner].l1.clean_frame(owner_frame);
-                        }
-                        if let Some(r) = report.as_mut() {
-                            r.level = ServiceLevel::CacheToCache;
-                        }
-                        grant + m.l1_hit_latency + 2 * m.l1l2_bus_occupancy
-                    } else if let ProbeResult::Hit(_) = l2_probe {
-                        self.cores[core].stats.l2_hits += 1;
-                        if let Some(r) = report.as_mut() {
-                            r.level = ServiceLevel::L2;
-                        }
-                        grant + m.l2_latency + m.l1l2_bus_occupancy
-                    } else {
-                        // True L2 miss (no cached copy anywhere, by
-                        // inclusion): fetch from memory and fill the L2.
-                        debug_assert!(!others, "inclusion: sharers imply an L2 copy");
-                        self.cores[core].stats.mem_accesses += 1;
-                        let reply = self.backend.issue(addr, grant + m.l2_latency);
-                        let xfer = self.l2mem_bus.schedule(reply.done);
-                        let l2_at = xfer + m.l2mem_bus_occupancy;
-                        let (l2_victim_frame, l2_evicted) = self.l2.peek_victim(addr);
-                        if let Some(l2_line) = l2_evicted {
-                            if self.l2.frame_dirty(l2_victim_frame) {
-                                self.cores[core].stats.l2_writebacks += 1;
-                                let wb_addr = m.l2.addr_of_line(l2_line);
-                                self.backend.write(wb_addr, grant);
-                                self.l2mem_bus.schedule(grant);
-                            }
-                            self.back_invalidate(l2_line, grant);
-                        }
-                        self.l2.fill(addr);
-                        if let Some(r) = report.as_mut() {
-                            r.level = ServiceLevel::Memory;
-                            r.l2_victim = l2_evicted;
-                        }
-                        l2_at + m.l1l2_bus_occupancy
-                    };
-
-                    // Remote-state adjustment for the remaining copies.
-                    if is_store {
-                        if others {
-                            let killed = self.invalidate_others(core, line, addr, grant);
-                            if let Some(r) = report.as_mut() {
-                                r.invalidated = killed;
-                            }
-                        }
-                    } else {
-                        // BusRd: surviving Exclusive copies degrade to
-                        // Shared (the Modified owner was handled above).
-                        for c in 0..self.cores.len() {
-                            if c == core {
-                                continue;
-                            }
-                            if let Some(f) = self.cores[c].l1.peek(addr) {
-                                if self.cores[c].mesi[f] == Mesi::Exclusive {
-                                    self.cores[c].mesi[f] = Mesi::Shared;
-                                }
-                            }
-                        }
-                    }
-
-                    // Install the tag now (as the single-core model does);
-                    // the data-ready time covers the in-flight window.
-                    self.cores[core].l1.fill_frame(victim_frame, addr);
-                    let state = if is_store {
-                        self.cores[core].l1.mark_dirty(victim_frame);
-                        Mesi::Modified
-                    } else if self.other_copy_exists(core, addr, line) {
-                        Mesi::Shared
-                    } else {
-                        Mesi::Exclusive
-                    };
-                    self.cores[core].mesi[victim_frame] = state;
-                    self.cores[core].fill_bookkeeping(
-                        victim_frame,
-                        line,
-                        now,
-                        kind,
-                        collect,
-                        &geom,
-                    );
-                    if data_ready > now {
-                        self.cores[core]
-                            .pending
-                            .insert(line.get(), data_ready.get());
-                    }
-                    data_ready
-                }
-            }
+            } => self.miss(core, mref, victim_frame, evicted, is_store, now),
         };
-
-        if let (Some(checker), Some(r)) = (self.checker.as_mut(), report.as_ref()) {
-            checker.verify(r);
+        if let (Some(checker), Some(r)) = (self.checker.as_mut(), self.report.take()) {
+            checker.verify(&r, level);
         }
         ready
     }
 
-    /// Closes every open generation and finalizes observers. Idempotent.
-    pub fn finish(&mut self, now: Cycle) {
-        if self.finished {
-            return;
+    /// An L1 hit: the Hit event, hit-under-miss timing and, for a store,
+    /// the move to Modified (an upgrade if the copy is shared).
+    fn hit(
+        &mut self,
+        core: usize,
+        mref: &MemRef,
+        frame: usize,
+        is_store: bool,
+        now: Cycle,
+    ) -> Cycle {
+        let line = self.cfg.machine.l1d.line_of(mref.addr);
+        let plane = &mut self.cores[core];
+        plane.stats.l1_hits += 1;
+        plane.shadow.on_access(line);
+        plane.obs.hit(&HitEvent {
+            line,
+            frame,
+            pc: mref.pc,
+            now,
+        });
+        // Hit-under-miss: the tag allocated at miss time, but the data
+        // may still be in flight.
+        let data_ready = plane
+            .pending
+            .get(&line.get())
+            .copied()
+            .filter(|&r| r > now.get());
+        if data_ready.is_none() {
+            plane.pending.remove(&line.get());
         }
-        self.finished = true;
-        let collect = self.collect;
-        for p in &mut self.cores {
-            let recs = p.gens.flush(now);
-            if collect {
-                for rec in &recs {
-                    p.metrics.on_generation(rec);
+        if is_store {
+            if matches!(plane.mesi[frame], Mesi::Shared | Mesi::Invalid) {
+                self.upgrade(core, mref.addr, now);
+            }
+            self.cores[core].mesi[frame] = Mesi::Modified;
+            self.cores[core].l1.mark_dirty(frame);
+        }
+        let base = now + self.cfg.machine.l1_hit_latency;
+        data_ready.map_or(base, |r| Cycle::new(r).max(base))
+    }
+
+    /// An L1 miss: classification and the Miss event, then the
+    /// victim-cache swap or a bus transaction, then the install. Returns
+    /// the data-ready cycle and the level that serviced the miss.
+    fn miss(
+        &mut self,
+        core: usize,
+        mref: &MemRef,
+        victim_frame: usize,
+        evicted: Option<LineAddr>,
+        is_store: bool,
+        now: Cycle,
+    ) -> (Cycle, ServiceLevel) {
+        let m = self.cfg.machine;
+        let (addr, line) = (mref.addr, m.l1d.line_of(mref.addr));
+        let plane = &mut self.cores[core];
+        let kind = plane.shadow.classify_miss(line);
+        plane.obs.miss(&MissEvent {
+            line,
+            addr,
+            kind,
+            now,
+        });
+        if plane.inval_lost.remove(&line.get()) {
+            self.coh.inval_refetches += 1;
+        }
+
+        if plane.vc().is_some_and(|v| v.cache.take(line)) {
+            // Swap: the buffered block returns to the L1 and the displaced
+            // resident enters the buffer whatever the filter's verdict.
+            plane.stats.vc_hits += 1;
+            if let Some(displaced) = evicted {
+                self.close_displaced(core, victim_frame, displaced, None, now);
+                let v = self.cores[core].vc().expect("vc hit");
+                v.cache.insert(displaced);
+                v.swap_fills += 1;
+                if let Some(r) = self.report.as_mut() {
+                    r.l1_victim = Some((displaced, true));
                 }
             }
+            if is_store && self.other_copy_exists(core, addr, line) {
+                self.upgrade(core, addr, now);
+            }
+            self.install(core, mref, victim_frame, is_store, evicted, now);
+            return (now + m.l1_hit_latency + 1, ServiceLevel::VictimCache);
+        }
+
+        // Full miss. Close and clear the victim frame first, so inclusion
+        // recalls during the transaction cannot race with it.
+        if let Some(displaced) = evicted {
+            let incoming = Some(m.l1d.tag_of_line(line));
+            let admitted = self.close_displaced(core, victim_frame, displaced, incoming, now);
+            if let Some(r) = self.report.as_mut() {
+                r.l1_victim = Some((displaced, admitted));
+            }
+        }
+        let (ready, level) = self.bus_transaction(core, addr, is_store, now);
+        // Install the tag now (as the single-core model does); the
+        // data-ready time covers the in-flight window.
+        self.install(core, mref, victim_frame, is_store, evicted, now);
+        if ready > now {
+            self.cores[core].pending.insert(line.get(), ready.get());
+        }
+        (ready, level)
+    }
+
+    /// The bus transaction of a full miss (BusRd, or BusRdX for a store):
+    /// data from the modified owner (cache to cache), the shared L2 or
+    /// memory, then the remote copies' state change. Returns the
+    /// data-ready cycle and the level that supplied the data.
+    fn bus_transaction(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        is_store: bool,
+        now: Cycle,
+    ) -> (Cycle, ServiceLevel) {
+        let m = self.cfg.machine;
+        let line = m.l1d.line_of(addr);
+        self.cores[core].stats.l2_accesses += 1;
+        let (grant, kind) = if is_store {
+            self.coh.bus_read_exclusives += 1;
+            let grant = self.snoop_bus.grant_read_exclusive(now);
+            (grant, CoherenceKind::BusRdX)
+        } else {
+            self.coh.bus_reads += 1;
+            (self.snoop_bus.grant_read(now), CoherenceKind::BusRd)
+        };
+        let ev = SnoopEvent {
+            line,
+            requester: core as u32,
+            kind,
+            at: grant,
+        };
+        self.trace(|t, rx| t.on_snoop(&ev, rx));
+
+        let m_owner = self.m_owner(core, addr);
+        let others = self.other_copy_exists(core, addr, line);
+        let l2_probe = self.l2.probe(addr);
+
+        let supplied = if let Some((owner, owner_frame)) = m_owner {
+            // Cache-to-cache supply from the modified copy; the flush also
+            // refreshes the L2's data.
+            self.snoop_bus.note_c2c();
+            self.coh.c2c_transfers += 1;
+            let ev = C2cEvent {
+                line,
+                from: owner as u32,
+                to: core as u32,
+                at: grant,
+            };
+            self.trace(|t, rx| t.on_c2c(&ev, rx));
+            if let ProbeResult::Hit(f2) = l2_probe {
+                self.l2.mark_dirty(f2);
+            }
+            if !is_store {
+                // BusRd: the owner keeps a now-clean copy. The flush
+                // cleaned it (a Shared line must not write back again on
+                // eviction), but a snoop is not a use by the owner, so its
+                // LRU position stays put.
+                let o = &mut self.cores[owner];
+                o.stats.l1_writebacks += 1;
+                o.mesi[owner_frame] = Mesi::Shared;
+                o.l1.clean_frame(owner_frame);
+            }
+            let ready = grant + m.l1_hit_latency + 2 * m.l1l2_bus_occupancy;
+            (ready, ServiceLevel::CacheToCache)
+        } else if let ProbeResult::Hit(_) = l2_probe {
+            self.cores[core].stats.l2_hits += 1;
+            (
+                grant + m.l2_latency + m.l1l2_bus_occupancy,
+                ServiceLevel::L2,
+            )
+        } else {
+            // True L2 miss (no cached copy anywhere, by inclusion): fetch
+            // from memory and fill the L2.
+            debug_assert!(!others, "inclusion: sharers imply an L2 copy");
+            self.cores[core].stats.mem_accesses += 1;
+            let reply = self.backend.issue(addr, grant + m.l2_latency);
+            let xfer = self.l2mem_bus.schedule(reply.done);
+            let l2_at = xfer + m.l2mem_bus_occupancy;
+            let (l2_victim_frame, l2_evicted) = self.l2.peek_victim(addr);
+            if let Some(l2_line) = l2_evicted {
+                if self.l2.frame_dirty(l2_victim_frame) {
+                    self.cores[core].stats.l2_writebacks += 1;
+                    self.backend.write(m.l2.addr_of_line(l2_line), grant);
+                    self.l2mem_bus.schedule(grant);
+                }
+                self.back_invalidate(l2_line, grant);
+            }
+            self.l2.fill(addr);
+            if let Some(r) = self.report.as_mut() {
+                r.l2_victim = l2_evicted;
+            }
+            (l2_at + m.l1l2_bus_occupancy, ServiceLevel::Memory)
+        };
+
+        // Remote-state change for the remaining copies.
+        if is_store {
+            if others {
+                self.invalidate_others(core, addr, grant);
+            }
+        } else {
+            // BusRd: surviving Exclusive copies degrade to Shared (the
+            // Modified owner was handled above).
+            for (c, p) in self.cores.iter_mut().enumerate() {
+                match p.l1.peek(addr) {
+                    Some(f) if c != core && p.mesi[f] == Mesi::Exclusive => {
+                        p.mesi[f] = Mesi::Shared
+                    }
+                    _ => {}
+                }
+            }
+        }
+        supplied
+    }
+
+    /// Closes every open generation and finalizes observers. Idempotent.
+    pub fn finish(&mut self, now: Cycle) {
+        if std::mem::replace(&mut self.finished, true) {
+            return;
+        }
+        for p in &mut self.cores {
+            p.obs.flush(now);
         }
         if let Some(t) = self.trace.as_deref_mut() {
             t.finish();
@@ -1289,10 +1141,7 @@ impl MultiCoreSystem {
         );
         let mut cores: Vec<OooCore> = streams.iter().map(|_| OooCore::new(&self.cfg)).collect();
         crate::core::drive(&mut cores, self, |c| streams[c].next_instr(), instructions);
-        let mut agg = CoreStats::default();
-        for core in &cores {
-            agg.add_weighted(core.stats(), 1);
-        }
+        let mut agg: CoreStats = crate::system::sum(cores.iter().map(OooCore::stats));
         // The run lasts until its slowest core finishes.
         agg.cycles = cores.iter().map(|c| c.stats().cycles).max().unwrap_or(0);
         agg
@@ -1303,7 +1152,6 @@ impl MultiCoreSystem {
     /// distributions merged, plus the coherence plane.
     pub fn into_result(mut self, workload: &str, core: CoreStats) -> RunResult {
         self.finish(Cycle::new(core.cycles));
-        let hierarchy = self.stats();
         let mut breakdown = MissBreakdown::default();
         let mut metrics = MetricsCollector::new();
         let mut victim: Option<VictimStats> = None;
@@ -1311,19 +1159,19 @@ impl MultiCoreSystem {
         let mut correlation: Option<CorrelationStats> = None;
         for p in &self.cores {
             breakdown.add_weighted(&p.shadow.breakdown(), 1);
-            metrics.merge(&p.metrics);
-            if let Some(v) = &p.victim {
+            metrics.merge(&p.obs.metrics.collector);
+            if let Some(v) = &p.obs.victim.unit {
                 victim.add_weighted(&Some(v.cache.stats()), 1);
                 victim_swap_fills.add_weighted(&Some(v.swap_fills), 1);
             }
-            if let Some(tk) = &p.tk {
-                correlation.add_weighted(&Some(tk.pred.table_stats()), 1);
+            if let PrefetcherImpl::Tk(tk) = &p.obs.predictors.prefetcher {
+                correlation.add_weighted(&Some(tk.table_stats()), 1);
             }
         }
         RunResult {
             workload: workload.to_owned(),
             core,
-            hierarchy,
+            hierarchy: self.stats(),
             breakdown,
             metrics,
             victim,
@@ -1399,8 +1247,9 @@ pub fn run_multicore<W: Workload + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PrefetchMode;
     use crate::trace::Instr;
-    use timekeeping::Pc;
+    use timekeeping::{CacheGeometry, Pc};
 
     /// Per-core strided load stream over a private region.
     #[derive(Clone)]
@@ -1536,7 +1385,7 @@ mod tests {
         // the *owner's* LRU stack too, or the owner later evicts the
         // wrong way and diverges from the coherent checker's mirror.
         let mut machine = crate::config::MachineConfig::paper_default();
-        machine.l1d = timekeeping::CacheGeometry::new(32 * 1024, 2, 32).unwrap();
+        machine.l1d = CacheGeometry::new(32 * 1024, 2, 32).unwrap();
         let cfg = SystemConfig::builder()
             .machine(machine)
             .cores(2)
@@ -1619,6 +1468,37 @@ mod tests {
         let coh = *sys.coherence();
         assert!(stats.vc_hits > 0, "{stats:?}");
         assert!(coh.vc_invalidations > 0, "{coh:?}");
+    }
+
+    #[test]
+    fn one_admission_rule_for_every_core_count() {
+        // The single-core rule at 2 cores: every generation a replacement
+        // ends (swap closes included) is offered to the victim filter
+        // exactly once, an invalidation-ended one never is, and no copy
+        // a core lost to an invalidation stays in its victim cache.
+        let cfg = SystemConfig::builder()
+            .cores(2)
+            .victim(VictimMode::Unfiltered)
+            .build()
+            .unwrap();
+        let mut sys = MultiCoreSystem::new(cfg);
+        sys.install_checker();
+        let mut s = streams_of(2, |i| Box::new(ConflictShare { next: 0, salt: i }));
+        sys.run(&mut s, 20_000);
+        let coh = *sys.coherence();
+        assert!(sys.stats().vc_hits > 0, "{:?}", sys.stats());
+        assert!(coh.vc_invalidations > 0 && coh.inval_deaths > 0, "{coh:?}");
+        fn vc(p: &CorePlane) -> &timekeeping::VictimCache {
+            &p.obs.victim.unit.as_ref().expect("victim cache").cache
+        }
+        let offered: u64 = sys.cores.iter().map(|p| vc(p).stats().offered).sum();
+        assert_eq!(offered, coh.evict_deaths, "{coh:?}");
+        for p in &sys.cores {
+            for &line in &p.inval_lost {
+                let line = LineAddr::new(line);
+                assert!(!vc(p).contains(line), "invalidated {line:?} is buffered");
+            }
+        }
     }
 
     #[test]

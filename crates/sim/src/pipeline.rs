@@ -37,14 +37,14 @@ use std::cmp::Reverse;
 
 use timekeeping::{
     AdaptiveDeadTimeFilter, CacheGeometry, CollinsFilter, Cycle, Dbcp, DeadTimeFilter, EvictCause,
-    EvictionInfo, GenerationRecord, GlobalTicker, LineAddr, LineMeta, LinePlane, MissKind,
-    NoFilter, PrefetchRequest, ReloadIntervalFilter, TimekeepingPrefetcher, Timeliness,
+    EvictionInfo, GenerationRecord, GenerationTracker, GlobalTicker, LineAddr, LineMeta, LinePlane,
+    MissKind, NoFilter, PrefetchRequest, ReloadIntervalFilter, TimekeepingPrefetcher, Timeliness,
     VictimCache, VictimFilter,
 };
-use timekeeping::{Histogram, L2IntervalMonitor, MetricsCollector, Pc};
+use timekeeping::{MetricsCollector, Pc};
 
 use crate::cache::ProbeResult;
-use crate::config::{L1Mode, MachineConfig, SystemConfig, VictimMode};
+use crate::config::{L1Mode, MachineConfig, PrefetchMode, SystemConfig, VictimMode};
 use crate::hierarchy::{AccessOutcome, MemorySystem};
 use crate::obs::{ProfStage, TraceKind, TraceObserver};
 use crate::oracle::SimLevel;
@@ -115,6 +115,29 @@ pub struct FillEvent {
     pub now: Cycle,
 }
 
+impl FillEvent {
+    /// `line` entering `frame` of the L1 that `geom` describes.
+    pub(crate) fn new(
+        geom: &CacheGeometry,
+        frame: usize,
+        line: LineAddr,
+        pc: Option<Pc>,
+        evicted: Option<LineAddr>,
+        now: Cycle,
+    ) -> Self {
+        FillEvent {
+            line,
+            frame,
+            set: geom.index_of_line(line),
+            tag: geom.tag_of_line(line),
+            pc,
+            demand: pc.is_some(),
+            evicted,
+            now,
+        }
+    }
+}
+
 /// A line leaving an L1 frame — a generation end. Emitted *before* the
 /// corresponding [`FillEvent`] of the displacing line.
 #[derive(Debug, Clone, Copy)]
@@ -135,6 +158,28 @@ pub struct EvictEvent {
     /// When the generation ended (for decay this is the switch-off
     /// point, which precedes the access that discovers it).
     pub at: Cycle,
+}
+
+impl EvictEvent {
+    /// `line` leaving `frame` of the L1 that `geom` describes.
+    pub(crate) fn new(
+        geom: &CacheGeometry,
+        frame: usize,
+        line: LineAddr,
+        cause: EvictCause,
+        incoming_tag: Option<u64>,
+        at: Cycle,
+    ) -> Self {
+        EvictEvent {
+            line,
+            frame,
+            cause,
+            incoming_tag,
+            set_index: geom.index_of_line(line),
+            tag: geom.tag_of_line(line),
+            at,
+        }
+    }
 }
 
 /// The bus transaction class a snoop carries (multi-core runs).
@@ -209,9 +254,6 @@ pub struct C2cEvent {
 pub struct Reactions {
     /// Access interval of a hit, published by the generation plane.
     pub access_interval: Option<u64>,
-    /// L2 access interval of a miss (time since the line's previous L1
-    /// miss), published by the generation plane.
-    pub l2_interval: Option<u64>,
     /// The missing line's last-generation metadata at miss time.
     pub line_meta: Option<LineMeta>,
     /// Reload interval at miss time (now minus last generation start).
@@ -319,9 +361,6 @@ impl MemObserver for GenObserver {
 
     fn on_miss(&mut self, ev: &MissEvent, rx: &mut Reactions) {
         if self.collect {
-            // §3: each L1 miss is an L2 access for the line; the interval
-            // between successive ones is the L2 access interval.
-            rx.l2_interval = self.plane.record_l2_access(ev.line, ev.now);
             let meta = self.plane.line_meta(ev.line).copied();
             rx.reload_interval = meta.map(|h| ev.now.since(h.last_start));
             rx.line_meta = meta;
@@ -337,13 +376,10 @@ impl MemObserver for GenObserver {
     }
 }
 
-/// Metric distributions, the L2 access-interval histogram and the
-/// hardware L2 interval monitor, as an observer.
+/// Metric distributions, as an observer.
 #[derive(Debug)]
 pub(crate) struct MetricsObserver {
     pub(crate) collector: MetricsCollector,
-    pub(crate) l2_access_interval: Histogram,
-    pub(crate) l2_monitor: L2IntervalMonitor,
     pub(crate) collect: bool,
 }
 
@@ -357,15 +393,7 @@ impl MemObserver for MetricsObserver {
     }
 
     fn on_miss(&mut self, ev: &MissEvent, rx: &mut Reactions) {
-        // The hardware monitor sees this L1 miss as an L2 access and
-        // makes its own (tick-quantized) conflict call.
-        if let Some((_, predicted)) = self.l2_monitor.on_access(ev.addr, ev.now) {
-            self.l2_monitor.observe(predicted, ev.kind);
-        }
         if self.collect {
-            if let Some(interval) = rx.l2_interval {
-                self.l2_access_interval.record(interval);
-            }
             self.collector
                 .on_miss(ev.kind, rx.line_meta.as_ref(), rx.reload_interval);
         }
@@ -482,8 +510,9 @@ impl MemObserver for PredictorObserver {
 pub(crate) struct VictimUnit {
     pub(crate) cache: VictimCache,
     pub(crate) filter: Box<dyn VictimFilter>,
-    /// Blocks entered by L1↔VC swaps (not counted as filtered fill
-    /// traffic; see DESIGN.md).
+    /// Blocks entered by L1↔VC swaps. A swapped-out block is offered to
+    /// the filter like any replacement (counted in `offered`/`admitted`)
+    /// and then inserted whatever the verdict; see DESIGN.md.
     pub(crate) swap_fills: u64,
 }
 
@@ -512,8 +541,10 @@ impl VictimUnit {
     }
 }
 
-/// Victim-cache admission, as an observer: offers every closed
-/// generation to the filter and publishes the decision.
+/// Victim-cache admission, as an observer: offers every generation a
+/// replacement closed to the filter and publishes the decision. A copy
+/// killed by coherence ([`EvictCause::Invalidate`]) is never offered: the
+/// data it held is stale.
 #[derive(Debug)]
 pub(crate) struct VictimObserver {
     pub(crate) unit: Option<VictimUnit>,
@@ -522,6 +553,9 @@ pub(crate) struct VictimObserver {
 impl MemObserver for VictimObserver {
     fn on_evict(&mut self, ev: &EvictEvent, rx: &mut Reactions) {
         let Some(rec) = &rx.generation else { return };
+        if ev.cause == EvictCause::Invalidate {
+            return;
+        }
         if let Some(v) = self.unit.as_mut() {
             let info = EvictionInfo {
                 line: ev.line,
@@ -594,21 +628,23 @@ impl MemObserver for OracleTap {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Dispatches one event to every observer, in the canonical order. The
-/// trace observer, when installed, runs *last*: it sees the fully
-/// populated [`Reactions`] (e.g. the closed generation record) and
-/// writes nothing back, so its presence cannot change simulation
-/// results.
+/// Dispatches one event to every observer, in the canonical order, and
+/// evaluates to the filled-in [`Reactions`]. The trace observer, when
+/// installed, runs *last*: it sees the fully populated reactions (e.g.
+/// the closed generation record) and writes nothing back, so its
+/// presence cannot change simulation results.
 macro_rules! dispatch_all {
-    ($obs:expr, $method:ident, $ev:expr, $rx:expr) => {{
-        MemObserver::$method(&mut $obs.gens, $ev, $rx);
-        MemObserver::$method(&mut $obs.metrics, $ev, $rx);
-        MemObserver::$method(&mut $obs.predictors, $ev, $rx);
-        MemObserver::$method(&mut $obs.victim, $ev, $rx);
-        MemObserver::$method(&mut $obs.oracle, $ev, $rx);
+    ($obs:expr, $method:ident, $ev:expr) => {{
+        let mut rx = Reactions::default();
+        MemObserver::$method(&mut $obs.gens, $ev, &mut rx);
+        MemObserver::$method(&mut $obs.metrics, $ev, &mut rx);
+        MemObserver::$method(&mut $obs.predictors, $ev, &mut rx);
+        MemObserver::$method(&mut $obs.victim, $ev, &mut rx);
+        MemObserver::$method(&mut $obs.oracle, $ev, &mut rx);
         if let Some(t) = $obs.trace.as_deref_mut() {
-            MemObserver::$method(t, $ev, $rx);
+            MemObserver::$method(t, $ev, &mut rx);
         }
+        rx
     }};
 }
 
@@ -626,20 +662,76 @@ pub(crate) struct Observers {
 }
 
 impl Observers {
-    fn lookup(&mut self, ev: &LookupEvent, rx: &mut Reactions) {
-        dispatch_all!(self, on_lookup, ev, rx)
+    /// The observer plane of one L1 as `cfg` describes it, its timing
+    /// filters and predictors on the shared global `ticker`. Tracing is
+    /// off; the owner installs a trace observer if it wants one.
+    pub(crate) fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
+        let m = &cfg.machine;
+        let num_frames = m.l1d.num_frames() as usize;
+        let prefetcher = match cfg.prefetch {
+            PrefetchMode::None => PrefetcherImpl::None,
+            PrefetchMode::Timekeeping(tcfg) => {
+                PrefetcherImpl::Tk(TimekeepingPrefetcher::new(m.l1d, tcfg, ticker))
+            }
+            PrefetchMode::Dbcp(dcfg) => PrefetcherImpl::Dbcp(Dbcp::new(dcfg, num_frames)),
+            PrefetchMode::Markov(mcfg) => PrefetcherImpl::Markov(timekeeping::Markov::new(mcfg)),
+            PrefetchMode::Stride(scfg) => {
+                PrefetcherImpl::Stride(timekeeping::StridePrefetcher::new(scfg, m.l1d))
+            }
+        };
+        Observers {
+            gens: GenObserver {
+                plane: GenerationTracker::new(num_frames),
+                collect: cfg.collect_metrics,
+            },
+            metrics: MetricsObserver {
+                collector: MetricsCollector::new(),
+                collect: cfg.collect_metrics,
+            },
+            predictors: PredictorObserver {
+                prefetcher,
+                addr_pred: vec![None; num_frames],
+                geom: m.l1d,
+            },
+            victim: VictimObserver {
+                unit: VictimUnit::new(cfg, ticker),
+            },
+            oracle: OracleTap::default(),
+            trace: None,
+        }
     }
-    fn hit(&mut self, ev: &HitEvent, rx: &mut Reactions) {
-        dispatch_all!(self, on_hit, ev, rx)
+
+    /// Closes every open generation at `now` (end of simulation) and
+    /// feeds the records to the metrics.
+    pub(crate) fn flush(&mut self, now: Cycle) {
+        for rec in self.gens.plane.flush(now) {
+            if self.metrics.collect {
+                self.metrics.collector.on_generation(&rec);
+            }
+        }
     }
-    fn miss(&mut self, ev: &MissEvent, rx: &mut Reactions) {
-        dispatch_all!(self, on_miss, ev, rx)
+
+    fn lookup(&mut self, ev: &LookupEvent) -> Reactions {
+        dispatch_all!(self, on_lookup, ev)
     }
-    fn fill(&mut self, ev: &FillEvent, rx: &mut Reactions) {
-        dispatch_all!(self, on_fill, ev, rx)
+    // The dispatchers below are called from both the single-core stages
+    // and each multi-core core; `#[inline]` lets the multi-core access
+    // path inline them across codegen units as the stages do.
+    #[inline]
+    pub(crate) fn hit(&mut self, ev: &HitEvent) -> Reactions {
+        dispatch_all!(self, on_hit, ev)
     }
-    fn evict(&mut self, ev: &EvictEvent, rx: &mut Reactions) {
-        dispatch_all!(self, on_evict, ev, rx)
+    #[inline]
+    pub(crate) fn miss(&mut self, ev: &MissEvent) -> Reactions {
+        dispatch_all!(self, on_miss, ev)
+    }
+    #[inline]
+    pub(crate) fn fill(&mut self, ev: &FillEvent) -> Reactions {
+        dispatch_all!(self, on_fill, ev)
+    }
+    #[inline]
+    pub(crate) fn evict(&mut self, ev: &EvictEvent) -> Reactions {
+        dispatch_all!(self, on_evict, ev)
     }
     fn service(&mut self, level: SimLevel) {
         self.gens.on_service(level);
@@ -718,17 +810,15 @@ impl MemorySystem {
     // -- event emission -----------------------------------------------------
 
     fn emit_lookup(&mut self, ev: &LookupEvent) -> Reactions {
-        let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.lookup(ev, &mut rx);
+        let rx = self.obs.lookup(ev);
         self.prof_rec(ProfStage::ObsLookup, t0);
         rx
     }
 
     fn emit_hit(&mut self, ev: &HitEvent) -> Reactions {
-        let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.hit(ev, &mut rx);
+        let rx = self.obs.hit(ev);
         self.prof_rec(ProfStage::ObsHit, t0);
         if let Some(log) = &mut self.event_log {
             log.push(PipelineEvent::Hit {
@@ -740,9 +830,8 @@ impl MemorySystem {
     }
 
     fn emit_miss(&mut self, ev: &MissEvent) -> Reactions {
-        let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.miss(ev, &mut rx);
+        let rx = self.obs.miss(ev);
         self.prof_rec(ProfStage::ObsMiss, t0);
         if let Some(log) = &mut self.event_log {
             log.push(PipelineEvent::Miss {
@@ -754,9 +843,8 @@ impl MemorySystem {
     }
 
     fn emit_fill(&mut self, ev: &FillEvent) -> Reactions {
-        let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.fill(ev, &mut rx);
+        let rx = self.obs.fill(ev);
         self.prof_rec(ProfStage::ObsFill, t0);
         if let Some(log) = &mut self.event_log {
             log.push(PipelineEvent::Fill {
@@ -769,9 +857,8 @@ impl MemorySystem {
     }
 
     fn emit_evict(&mut self, ev: &EvictEvent) -> Reactions {
-        let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.evict(ev, &mut rx);
+        let rx = self.obs.evict(ev);
         self.prof_rec(ProfStage::ObsEvict, t0);
         if rx.generation.is_some() {
             if let Some(log) = &mut self.event_log {
@@ -823,37 +910,20 @@ impl MemorySystem {
         }
     }
 
-    /// Emits the Fill event for `line` entering `frame` and applies the
+    /// Emits the Fill event for `line` entering `frame` (a demand fill
+    /// when `pc` is given, else a prefetch arrival) and applies the
     /// reactions (address-prediction scoring, chained prefetch targets).
     fn fill_event(
         &mut self,
         frame: usize,
         line: LineAddr,
         pc: Option<Pc>,
-        demand: bool,
         evicted: Option<LineAddr>,
         now: Cycle,
     ) {
-        let geom = self.l1d.geometry();
-        let set = geom.index_of_line(line);
-        let tag = geom.tag_of_line(line);
-        let ev = FillEvent {
-            line,
-            frame,
-            set,
-            tag,
-            pc,
-            demand,
-            evicted,
-            now,
-        };
+        let ev = FillEvent::new(self.l1d.geometry(), frame, line, pc, evicted, now);
         let rx = self.emit_fill(&ev);
-        if let Some(correct) = rx.addr_scored {
-            self.stats.addr_predictions += 1;
-            if correct {
-                self.stats.addr_correct += 1;
-            }
-        }
+        self.stats.score_addr(rx.addr_scored);
         self.drain_prefetches(rx, now);
     }
 
@@ -868,16 +938,7 @@ impl MemorySystem {
         cause: EvictCause,
         incoming_tag: Option<u64>,
     ) {
-        let geom = *self.l1d.geometry();
-        let ev = EvictEvent {
-            line: ev_line,
-            frame,
-            cause,
-            incoming_tag,
-            set_index: geom.index_of_line(ev_line),
-            tag: geom.tag_of_line(ev_line),
-            at,
-        };
+        let ev = EvictEvent::new(self.l1d.geometry(), frame, ev_line, cause, incoming_tag, at);
         let _ = self.emit_evict(&ev);
     }
 
@@ -1011,7 +1072,7 @@ impl MemorySystem {
     }
 
     /// Miss-classify stage: ground-truth classification and the Miss
-    /// event (metrics, L2 monitor, Markov training).
+    /// event (metrics, Markov training).
     fn stage_miss_classify(&mut self, mref: &MemRef, line: LineAddr, now: Cycle) {
         let kind = self.shadow.classify_miss(line);
         let rx = self.emit_miss(&MissEvent {
@@ -1038,9 +1099,11 @@ impl MemorySystem {
             return None;
         }
         self.stats.vc_hits += 1;
-        // Swap: close the displaced generation and move the block into
-        // the victim cache unfiltered (it is an exchange, not eviction
-        // traffic).
+        // Swap: close the displaced generation. Its Evict event offers
+        // the block to the filter like any replacement (counted in
+        // `offered`/`admitted`), and the block then enters the buffer
+        // whatever the verdict: `take` just freed a slot, so the insert
+        // displaces nothing.
         if let Some(ev) = evicted {
             self.evict_event(victim_frame, ev, now, EvictCause::Demand, None);
             self.writeback_if_dirty(victim_frame, now);
@@ -1049,7 +1112,7 @@ impl MemorySystem {
             v.swap_fills += 1;
         }
         self.l1d.fill_frame(victim_frame, mref.addr);
-        self.fill_event(victim_frame, line, Some(mref.pc), true, evicted, now);
+        self.fill_event(victim_frame, line, Some(mref.pc), evicted, now);
         Some(AccessOutcome {
             ready_at: now + self.cfg.machine.l1_hit_latency + 1,
             l1_hit: false,
@@ -1123,7 +1186,7 @@ impl MemorySystem {
                 Some(geom.tag_of_line(line)),
             );
         }
-        self.fill_event(frame, line, Some(mref.pc), true, evicted, now);
+        self.fill_event(frame, line, Some(mref.pc), evicted, now);
     }
 
     /// DecayRefetch stage: a reference to a decayed (switched-off) line
@@ -1150,7 +1213,7 @@ impl MemorySystem {
         let ready = self.fetch_from_l2(mref.addr, now, true);
         self.alloc_demand(line, ready, now);
         self.l1d.fill_frame(frame, mref.addr);
-        self.fill_event(frame, line, Some(mref.pc), true, None, now);
+        self.fill_event(frame, line, Some(mref.pc), None, now);
         AccessOutcome {
             ready_at: ready,
             l1_hit: false,
@@ -1690,7 +1753,7 @@ impl MemorySystem {
             // A prefetch fill is a generation start, and trains the
             // prefetcher exactly like a demand fill (enabling chained
             // prefetches), but carries no referencing PC.
-            self.fill_event(frame, line, None, false, evicted, at);
+            self.fill_event(frame, line, None, evicted, at);
             if still_pending {
                 let deadline = self.pending_pf[set as usize].and_then(|p| p.deadline);
                 self.pending_pf[set as usize] = Some(PendingPf {

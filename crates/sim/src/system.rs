@@ -34,6 +34,16 @@ impl<T: WeightedSum + Default> WeightedSum for Option<T> {
     }
 }
 
+/// The plain sum of a sequence of counter blocks, e.g. per-core counters
+/// into a machine total.
+pub(crate) fn sum<'a, T: WeightedSum + Default + 'a>(blocks: impl IntoIterator<Item = &'a T>) -> T {
+    let mut total = T::default();
+    for b in blocks {
+        total.add_weighted(b, 1);
+    }
+    total
+}
+
 /// Implements [`WeightedSum`] for plain `u64` counter structs. The
 /// destructuring pattern names every field, so a field added to one of
 /// these structs fails to compile here until it is summed too.
